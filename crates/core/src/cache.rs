@@ -34,6 +34,7 @@ use std::path::{Path, PathBuf};
 
 use hcapp_cache::{CacheStore, ContentHash, Hasher};
 use hcapp_sim_core::series::TimeSeries;
+use hcapp_sim_core::state::{f64_hex, parse_f64_hex};
 use hcapp_sim_core::time::SimDuration;
 use hcapp_sim_core::units::Watt;
 
@@ -77,14 +78,6 @@ pub fn job_key(sys: &SystemConfig, run: &RunConfig) -> Option<ContentHash> {
     Some(h.finish())
 }
 
-fn f64_hex(v: f64) -> String {
-    format!("{:016x}", v.to_bits())
-}
-
-fn parse_f64(s: &str) -> Option<f64> {
-    u64::from_str_radix(s, 16).ok().map(f64::from_bits)
-}
-
 fn scheme_tag(s: ControlScheme) -> String {
     match s {
         ControlScheme::Hcapp => "hcapp".into(),
@@ -102,7 +95,7 @@ fn parse_scheme(tag: &str) -> Option<ControlScheme> {
         (Some("rapl"), None) => Some(ControlScheme::RaplLike),
         (Some("software"), None) => Some(ControlScheme::SoftwareLike),
         (Some("fixed"), Some(v)) => {
-            Some(ControlScheme::FixedVoltage(hcapp_sim_core::units::Volt::new(parse_f64(v)?)))
+            Some(ControlScheme::FixedVoltage(hcapp_sim_core::units::Volt::new(parse_f64_hex(v)?)))
         }
         (Some("custom"), Some(ns)) => {
             Some(ControlScheme::CustomPeriod(SimDuration::from_nanos(ns.parse().ok()?)))
@@ -152,7 +145,7 @@ fn decode_series<'a>(
     }
     let mut values = Vec::with_capacity(n);
     for _ in 0..n {
-        values.push(parse_f64(lines.next()?)?);
+        values.push(parse_f64_hex(lines.next()?)?);
     }
     Some(Some(TimeSeries::from_values(
         SimDuration::from_nanos(dt_ns),
@@ -209,9 +202,9 @@ pub fn decode_outcome(body: &str) -> Option<RunOutcome> {
     }
     let scheme = parse_scheme(&field(&mut lines, "scheme")?)?;
     let duration = SimDuration::from_nanos(field(&mut lines, "duration_ns")?.parse().ok()?);
-    let avg_power = Watt::new(parse_f64(&field(&mut lines, "avg_power")?)?);
-    let energy_j = parse_f64(&field(&mut lines, "energy_j")?)?;
-    let mean_global_voltage = parse_f64(&field(&mut lines, "mean_v")?)?;
+    let avg_power = Watt::new(parse_f64_hex(&field(&mut lines, "avg_power")?)?);
+    let energy_j = parse_f64_hex(&field(&mut lines, "energy_j")?)?;
+    let mean_global_voltage = parse_f64_hex(&field(&mut lines, "mean_v")?)?;
 
     let n_wm: usize = field(&mut lines, "windowed_max")?.parse().ok()?;
     let mut windowed_max = Vec::with_capacity(n_wm);
@@ -219,7 +212,7 @@ pub fn decode_outcome(body: &str) -> Option<RunOutcome> {
         let row = field(&mut lines, "wm")?;
         let mut parts = row.split(' ');
         let w = SimDuration::from_nanos(parts.next()?.parse().ok()?);
-        let p = Watt::new(parse_f64(parts.next()?)?);
+        let p = Watt::new(parse_f64_hex(parts.next()?)?);
         windowed_max.push((w, p));
     }
 
@@ -229,7 +222,7 @@ pub fn decode_outcome(body: &str) -> Option<RunOutcome> {
         let row = field(&mut lines, "wk")?;
         let mut parts = row.split(' ');
         let kind = parse_kind(parts.next()?)?;
-        let w = parse_f64(parts.next()?)?;
+        let w = parse_f64_hex(parts.next()?)?;
         work.push((kind, w));
     }
 
@@ -498,6 +491,25 @@ mod tests {
         assert!(decode_outcome(truncated).is_none());
         let trailing = format!("{body}garbage\n");
         assert!(decode_outcome(&trailing).is_none());
+    }
+
+    #[test]
+    fn short_float_hex_is_corrupt_not_a_hit() {
+        // A float field one digit short is a damaged entry, not a small
+        // subnormal: the shared bit-pattern parser requires all 16 digits.
+        let cache = temp_cache("short_hex");
+        let (sys, run) = job();
+        let key = job_key(&sys, &run).expect("untraced job is cacheable");
+        let out = crate::coordinator::Simulation::new(sys, run).run();
+        let body = encode_outcome(&out);
+        let hex = f64_hex(out.energy_j);
+        let short = body.replace(&format!("energy_j {hex}\n"), &format!("energy_j {}\n", &hex[1..]));
+        assert_ne!(short, body);
+        assert!(decode_outcome(&short).is_none());
+        assert!(cache.store.save(key, &short));
+        assert!(matches!(cache.lookup_classified(key), Lookup::Corrupt));
+        assert!(matches!(cache.lookup_classified(key), Lookup::Absent));
+        let _ = std::fs::remove_dir_all(cache.dir());
     }
 
     #[test]

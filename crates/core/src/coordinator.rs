@@ -343,7 +343,7 @@ pub(crate) trait DomainExecutor {
     /// Restore payloads produced by [`DomainExecutor::domain_states`]
     /// (same indexing). `None` if any payload is missing, malformed, or
     /// shaped for a different system configuration.
-    fn restore_domain_states(&mut self, states: &[String]) -> Option<()>;
+    fn restore_domain_states(&mut self, states: &[&str]) -> Option<()>;
 }
 
 /// Serialize one domain with the sim-core state codec.
@@ -451,7 +451,7 @@ impl DomainExecutor for SerialExecutor {
         self.domains.iter().map(encode_domain_state).collect()
     }
 
-    fn restore_domain_states(&mut self, states: &[String]) -> Option<()> {
+    fn restore_domain_states(&mut self, states: &[&str]) -> Option<()> {
         if states.len() != self.domains.len() {
             return None;
         }
@@ -1249,8 +1249,8 @@ impl<E: DomainExecutor> LoopDriver<E> {
         let mut r = StateReader::new(get("sensor")?);
         self.sensor.load_state(&mut r)?;
         r.finished()?;
-        let states: Vec<String> = (0..self.n_domains)
-            .map(|i| get(&format!("domain.{i}")).map(str::to_string))
+        let states: Vec<&str> = (0..self.n_domains)
+            .map(|i| get(&format!("domain.{i}")))
             .collect::<Option<_>>()?;
         self.executor.restore_domain_states(&states)?;
         // The original process already flushed its boundary events

@@ -470,11 +470,12 @@ impl DomainExecutor for PooledExecutor<'_> {
         states
     }
 
-    fn restore_domain_states(&mut self, states: &[String]) -> Option<()> {
+    fn restore_domain_states(&mut self, states: &[&str]) -> Option<()> {
         if states.len() != self.n_domains {
             return None;
         }
-        let payload = Arc::new(states.to_vec());
+        // Workers outlive this borrow, so they get owned copies.
+        let payload: Arc<Vec<String>> = Arc::new(states.iter().map(|s| s.to_string()).collect());
         for tx in &self.cmd_txs {
             tx.send(WorkerMsg::LoadState(Arc::clone(&payload)))
                 // simlint: allow(L6): checkpoint boundary, not per-tick; worker channels live for the executor scope

@@ -433,3 +433,38 @@ fn corrupt_checkpoint_falls_back_to_fresh_start() {
     assert_eq!(fs::read_to_string(dir.join("hcapp.trace")).unwrap(), want_trace);
     let _ = fs::remove_dir_all(&dir);
 }
+
+/// Golden bytes of one `hcapp.ckpt`: the on-disk format is a contract
+/// (old checkpoints must stay resumable), so a codec change that alters a
+/// single byte — an extra allocation-free fast path that drops a leading
+/// zero, a re-joined payload that loses a line — fails here, not only in
+/// the benchmark's byte counts. Hi-Hi, HCAPP, seeded `moderate` plan, the
+/// default 20 µs / 1 ms / 10 ms window trackers, a trace sink, cadence 64,
+/// stopped at quantum 300 (last checkpoint at 256).
+#[test]
+fn checkpoint_bytes_are_golden() {
+    let dir = scratch("golden_ckpt");
+    let sys = SystemConfig::paper_system(combo_suite()[3], 11);
+    let run = RunConfig::new(
+        SimDuration::from_millis(1),
+        ControlScheme::Hcapp,
+        PowerLimit::package_pin().guardbanded_target(),
+    )
+    .with_faults(FaultPlan::moderate(7));
+    let opts = ResumeOptions::new(dir.join("hcapp.ckpt"))
+        .with_checkpoint_every(64)
+        .with_trace_sink(dir.join("hcapp.trace"))
+        .with_trace_extra("case", "golden-checkpoint")
+        .with_stop_at(300);
+    let summary = run_resumable(sys, run, &opts).unwrap();
+    assert_eq!(summary.checkpoints_written, 4);
+    let bytes = fs::read(dir.join("hcapp.ckpt")).unwrap();
+    let mut h = hcapp_cache::Hasher::new();
+    h.write_bytes(&bytes);
+    let digest = h.finish().to_hex();
+    assert_eq!(
+        (bytes.len(), digest.as_str()),
+        (1_881_993, "3a900f3fd22b55dd895d1ad01c67811a")
+    );
+    let _ = fs::remove_dir_all(&dir);
+}

@@ -15,6 +15,7 @@ use hcapp::scheme::ControlScheme;
 use hcapp::software::ComponentKind;
 use hcapp::system::SystemConfig;
 use hcapp_faults::FaultPlan;
+use hcapp_sim_core::state::{self, f64_hex};
 use hcapp_sim_core::time::{SimDuration, SimTime};
 use hcapp_sim_core::units::{Volt, Watt};
 use hcapp_workloads::combos::combo_suite;
@@ -216,7 +217,7 @@ impl FuzzCase {
         let sys_seed = parse_u64(&field(&mut lines, "sys_seed")?)?;
         let scheme = parse_scheme(&field(&mut lines, "scheme")?)?;
         let duration_ns = parse_u64(&field(&mut lines, "duration_ns")?)?;
-        let target = parse_f64_hex(&field(&mut lines, "target")?)?;
+        let target = parse_f64(&field(&mut lines, "target")?)?;
         let software = parse_software(&field(&mut lines, "software")?)?;
         let faults_field = field(&mut lines, "faults")?;
         let faults = if faults_field == "none" {
@@ -244,7 +245,7 @@ impl FuzzCase {
         for _ in 0..n_rt {
             let row = field(&mut lines, "rt")?;
             let (ns, w) = row.split_once(' ').ok_or("rt: expected `<ns> <hex>`")?;
-            retargets.push((parse_u64(ns)?, parse_f64_hex(w)?));
+            retargets.push((parse_u64(ns)?, parse_f64(w)?));
         }
         if lines.next().is_some() {
             return Err("trailing lines after retarget list".into());
@@ -331,16 +332,11 @@ fn parse_bool(s: &str) -> Result<bool, String> {
     }
 }
 
-/// IEEE-754 bit pattern in hex — the same convention the outcome codec
-/// uses, so a fuzzcase survives the round trip bit-exactly.
-pub fn f64_hex(v: f64) -> String {
-    format!("{:016x}", v.to_bits())
-}
-
-fn parse_f64_hex(s: &str) -> Result<f64, String> {
-    u64::from_str_radix(s.trim(), 16)
-        .map(f64::from_bits)
-        .map_err(|_| format!("bad f64 bit pattern {s:?}"))
+/// [`state::parse_f64_hex`] with the error message the decoder reports
+/// (floats use the outcome codec's bit-pattern text, so a fuzzcase
+/// survives the round trip bit-exactly).
+fn parse_f64(s: &str) -> Result<f64, String> {
+    state::parse_f64_hex(s.trim()).ok_or_else(|| format!("bad f64 bit pattern {s:?}"))
 }
 
 fn scheme_tag(s: ControlScheme) -> String {
@@ -361,7 +357,7 @@ fn parse_scheme(tag: &str) -> Result<ControlScheme, String> {
         _ => {}
     }
     if let Some(hex) = tag.strip_prefix("fixed:") {
-        return Ok(ControlScheme::FixedVoltage(Volt::new(parse_f64_hex(hex)?)));
+        return Ok(ControlScheme::FixedVoltage(Volt::new(parse_f64(hex)?)));
     }
     if let Some(ns) = tag.strip_prefix("custom:") {
         let ns = parse_u64(ns)?;

@@ -43,6 +43,7 @@ use hcapp::{
     RunOutcome, Simulation,
 };
 use hcapp_analyze::StreamAnalyzer;
+use hcapp_sim_core::state::f64_hex;
 use hcapp_sim_core::units::{Volt, Watt};
 use hcapp_telemetry::{jsonl, RingTracer, SharedTracer};
 
@@ -349,8 +350,8 @@ fn check_meta_ppe(case: &FuzzCase, out_s: &RunOutcome, fails: &mut Vec<Failure>)
                 leg: "meta-ppe",
                 detail: format!(
                     "ppe not invariant under provisioned-power scale {k}: {} vs {}",
-                    crate::case::f64_hex(reference),
-                    crate::case::f64_hex(rescaled)
+                    f64_hex(reference),
+                    f64_hex(rescaled)
                 ),
             });
         }

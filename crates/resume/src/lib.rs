@@ -30,8 +30,9 @@
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 
+use std::fmt::Write as _;
 use std::fs;
-use std::io;
+use std::io::{self, Read};
 use std::path::{Path, PathBuf};
 
 use hcapp_cache::Hasher;
@@ -83,13 +84,24 @@ impl Checkpoint {
     /// Append a named state section. Section order is part of the format —
     /// the resume driver writes and reads them in a fixed sequence.
     ///
+    /// The payload must be whole lines: empty, or ending in `\n`, with no
+    /// `\r` anywhere — exactly what [`hcapp_sim_core::state::StateWriter`]
+    /// produces. [`Checkpoint::encode`] copies it verbatim and counts its
+    /// `\n` bytes, so this is what makes the file byte-stable under
+    /// decode/re-encode.
+    ///
     /// # Panics
-    /// Panics on a malformed name or a duplicate.
+    /// Panics on a malformed name, a duplicate, or a payload that is not
+    /// whole `\r`-free lines.
     pub fn add_section(&mut self, name: &str, payload: String) {
         assert!(token_ok(name), "bad section name {name:?}");
         assert!(
             self.section(name).is_none(),
             "duplicate checkpoint section {name:?}"
+        );
+        assert!(
+            payload_ok(&payload),
+            "section {name:?} payload must be \\n-terminated lines without \\r"
         );
         self.sections.push((name.to_string(), payload));
     }
@@ -108,24 +120,31 @@ impl Checkpoint {
     }
 
     /// Serialize to the on-disk text format (checksum included).
+    ///
+    /// The output is sized once and every payload is copied whole; a
+    /// section header's line count is the number of `\n` bytes in its
+    /// payload ([`Checkpoint::add_section`] guarantees whole lines).
     pub fn encode(&self) -> String {
-        let mut out = String::new();
+        let sections_len: usize = self
+            .sections
+            .iter()
+            .map(|(name, payload)| name.len() + payload.len() + 32)
+            .sum();
+        let mut out = String::with_capacity(SCHEMA.len() + 160 + sections_len);
         out.push_str(SCHEMA);
         out.push('\n');
-        out.push_str(&format!("config {}\n", self.config));
-        out.push_str(&format!("quantum {}\n", self.quantum));
-        out.push_str(&format!("trace_offset {}\n", self.trace_offset));
-        out.push_str(&format!("sections {}\n", self.sections.len()));
+        // Writing into a `String` cannot fail.
+        let _ = writeln!(out, "config {}", self.config);
+        let _ = writeln!(out, "quantum {}", self.quantum);
+        let _ = writeln!(out, "trace_offset {}", self.trace_offset);
+        let _ = writeln!(out, "sections {}", self.sections.len());
         for (name, payload) in &self.sections {
-            let n_lines = payload.lines().count();
-            out.push_str(&format!("section {name} {n_lines}\n"));
-            for line in payload.lines() {
-                out.push_str(line);
-                out.push('\n');
-            }
+            let n_lines = payload.matches('\n').count();
+            let _ = writeln!(out, "section {name} {n_lines}");
+            out.push_str(payload);
         }
         let sum = Self::checksum(&out);
-        out.push_str(&format!("checksum {sum}\n"));
+        let _ = writeln!(out, "checksum {sum}");
         out
     }
 
@@ -154,45 +173,53 @@ impl Checkpoint {
             return Err(format!("checksum mismatch: file {sum}, computed {expect}"));
         }
 
-        let mut lines = body.lines();
-        let header = lines.next().ok_or_else(|| "empty checkpoint".to_string())?;
+        let mut rest = body;
+        let header = next_line(&mut rest).ok_or_else(|| "empty checkpoint".to_string())?;
         if header != SCHEMA {
             return Err(format!("unsupported schema {header:?} (want {SCHEMA:?})"));
         }
-        let config = field(lines.next(), "config")?.to_string();
+        let config = field(next_line(&mut rest), "config")?.to_string();
         if !fingerprint_ok(&config) {
             return Err(format!("malformed config fingerprint {config:?}"));
         }
-        let quantum = parse_u64(field(lines.next(), "quantum")?)?;
-        let trace_offset = parse_u64(field(lines.next(), "trace_offset")?)?;
-        let n_sections = parse_u64(field(lines.next(), "sections")?)? as usize;
+        let quantum = parse_u64(field(next_line(&mut rest), "quantum")?)?;
+        let trace_offset = parse_u64(field(next_line(&mut rest), "trace_offset")?)?;
+        let n_sections = parse_u64(field(next_line(&mut rest), "sections")?)? as usize;
 
         let mut ck = Checkpoint {
             config,
             quantum,
             trace_offset,
-            sections: Vec::with_capacity(n_sections),
+            sections: Vec::with_capacity(n_sections.min(rest.len())),
         };
         for _ in 0..n_sections {
-            let head = field(lines.next(), "section")?;
+            let head = field(next_line(&mut rest), "section")?;
             let (name, count) = head
                 .split_once(' ')
                 .ok_or_else(|| format!("malformed section header {head:?}"))?;
             if !token_ok(name) || ck.section(name).is_some() {
                 return Err(format!("bad or duplicate section name {name:?}"));
             }
+            // The payload is the next `n_lines` lines, sliced out whole.
             let n_lines = parse_u64(count)? as usize;
-            let mut payload = String::new();
-            for _ in 0..n_lines {
-                let line = lines
-                    .next()
-                    .ok_or_else(|| format!("section {name:?} truncated"))?;
-                payload.push_str(line);
-                payload.push('\n');
+            let len = match n_lines.checked_sub(1) {
+                None => 0,
+                Some(last) => {
+                    rest.match_indices('\n')
+                        .nth(last)
+                        .ok_or_else(|| format!("section {name:?} truncated"))?
+                        .0
+                        + 1
+                }
+            };
+            let (payload, tail) = rest.split_at(len);
+            if !payload_ok(payload) {
+                return Err(format!("section {name:?} contains \\r"));
             }
-            ck.sections.push((name.to_string(), payload));
+            ck.sections.push((name.to_string(), payload.to_string()));
+            rest = tail;
         }
-        if lines.next().is_some() {
+        if !rest.is_empty() {
             return Err("trailing garbage after sections".to_string());
         }
         Ok(ck)
@@ -206,11 +233,32 @@ impl Checkpoint {
     }
 }
 
+/// Whole `\r`-free lines: empty, or ending in `\n`.
+fn payload_ok(payload: &str) -> bool {
+    (payload.is_empty() || payload.ends_with('\n')) && !payload.as_bytes().contains(&b'\r')
+}
+
+/// Split the next `\n`-terminated line off the front of `rest` (without
+/// its terminator). `None` when no complete line is left.
+fn next_line<'a>(rest: &mut &'a str) -> Option<&'a str> {
+    let (line, tail) = rest.split_once('\n')?;
+    *rest = tail;
+    Some(line)
+}
+
 fn field<'a>(line: Option<&'a str>, tag: &str) -> Result<&'a str, String> {
     let line = line.ok_or_else(|| format!("missing {tag} line"))?;
     line.strip_prefix(tag)
         .and_then(|r| r.strip_prefix(' '))
         .ok_or_else(|| format!("expected {tag} line, got {line:?}"))
+}
+
+/// The quantum a checkpoint file's header claims, unverified. Reads only
+/// the header (the third line, well inside the first 256 bytes).
+fn claimed_quantum(path: &Path) -> Option<u64> {
+    let mut head = String::new();
+    fs::File::open(path).ok()?.take(256).read_to_string(&mut head).ok()?;
+    head.lines().nth(2)?.strip_prefix("quantum ")?.parse().ok()
 }
 
 fn parse_u64(s: &str) -> Result<u64, String> {
@@ -269,27 +317,21 @@ impl CheckpointStore {
     /// the given config fingerprint, together with the slot it came from.
     /// Corrupt, torn, or foreign-config slots are skipped silently — a
     /// resume with no usable checkpoint is just a fresh start.
+    ///
+    /// Slots are verified newest-first by the quantum their header claims
+    /// (the primary slot first on a tie), so the usual case checksums one
+    /// file, not two. A false claim only costs a failed decode.
     pub fn latest_valid(&self, config: &str) -> Option<(Checkpoint, PathBuf)> {
-        let mut best: Option<(Checkpoint, PathBuf)> = None;
-        for path in [self.path.clone(), self.rotated()] {
-            let Ok(text) = fs::read_to_string(&path) else {
-                continue;
-            };
-            let Ok(ck) = Checkpoint::decode(&text) else {
-                continue;
-            };
-            if ck.config != config {
-                continue;
-            }
-            let newer = best
-                .as_ref()
-                .map(|(b, _)| ck.quantum > b.quantum)
-                .unwrap_or(true);
-            if newer {
-                best = Some((ck, path));
-            }
-        }
-        best
+        let mut slots: Vec<(Option<u64>, PathBuf)> = [self.path.clone(), self.rotated()]
+            .into_iter()
+            .map(|path| (claimed_quantum(&path), path))
+            .collect();
+        slots.sort_by_key(|(claim, _)| std::cmp::Reverse(*claim));
+        slots.into_iter().find_map(|(_, path)| {
+            let text = fs::read_to_string(&path).ok()?;
+            let ck = Checkpoint::decode(&text).ok()?;
+            (ck.config == config).then_some((ck, path))
+        })
     }
 
     /// Remove both slots (ignoring files that are already gone).
@@ -387,6 +429,41 @@ mod tests {
     }
 
     #[test]
+    fn partial_line_payloads_are_rejected() {
+        // `encode` copies payloads whole and counts their `\n` bytes, which
+        // is byte-stable only for whole, `\r`-free lines.
+        for payload in ["pid.integral 0", "a 1\r\nb 2\n", "a 1\n\r"] {
+            let mut ck = Checkpoint::new(&fp(3), 1, 0);
+            let added = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                ck.add_section("pid", payload.to_string());
+            }));
+            assert!(added.is_err(), "accepted {payload:?}");
+        }
+        let mut ck = Checkpoint::new(&fp(3), 1, 0);
+        ck.add_section("blank", "\n\n".to_string());
+        let text = ck.encode();
+        assert!(text.contains("section blank 2\n\n\n"), "{text}");
+        let back = Checkpoint::decode(&text).unwrap();
+        assert_eq!(back, ck);
+        assert_eq!(back.encode(), text);
+    }
+
+    #[test]
+    fn carriage_return_in_a_checksummed_file_is_rejected() {
+        // A file that checksums but carries `\r` inside a section can only
+        // be hand-made; decoding it must not yield a checkpoint whose
+        // re-encoding differs.
+        let mut body = format!(
+            "{SCHEMA}\nconfig {}\nquantum 1\ntrace_offset 0\nsections 1\nsection pid 1\n",
+            fp(4)
+        );
+        body.push_str("pid.x 1\r\n");
+        let text = format!("{body}checksum {}\n", Checkpoint::checksum(&body));
+        let err = Checkpoint::decode(&text).unwrap_err();
+        assert!(err.contains("\\r"), "{err}");
+    }
+
+    #[test]
     fn store_save_and_load() {
         let dir = std::env::temp_dir().join(format!("hcapp_resume_t1_{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
@@ -426,6 +503,17 @@ mod tests {
         let (got, path) = store.latest_valid(&fp(7)).unwrap();
         assert_eq!(got.quantum, 100);
         assert_eq!(path, store.rotated());
+
+        // A torn primary whose header still claims the newer quantum is
+        // tried first, fails its checksum, and the rotated slot wins.
+        store.clear().unwrap();
+        store.save(&older).unwrap();
+        store.save(&newer).unwrap();
+        let torn = fs::read_to_string(store.path()).unwrap().replace("pid.integral", "pid.integraL");
+        fs::write(store.path(), torn).unwrap();
+        assert_eq!(claimed_quantum(store.path()), Some(200));
+        let (got, path) = store.latest_valid(&fp(7)).unwrap();
+        assert_eq!((got.quantum, path), (100, store.rotated()));
 
         store.clear().unwrap();
         assert!(store.latest_valid(&fp(7)).is_none());

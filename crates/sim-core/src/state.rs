@@ -37,7 +37,73 @@ pub trait Snapshot {
     fn load_state(&mut self, r: &mut StateReader<'_>) -> Option<()>;
 }
 
+/// `x` as 16 lowercase ASCII hex digits, most significant first.
+///
+/// Branch- and table-free (SWAR): the halving steps move nibble `i` into
+/// the low half of byte `i` of a `u128`, then every byte maps to ASCII at
+/// once — `'0' + v`, plus 39 more for `v >= 10` to land on `'a'..='f'`.
+/// No per-byte sum exceeds 102, so no carry crosses a byte. This is the
+/// checkpoint writer's inner loop: one call per window-tracker sample.
+fn hex16(x: u64) -> [u8; 16] {
+    const LO32: u128 = 0x0000_0000_ffff_ffff_0000_0000_ffff_ffff;
+    const LO16: u128 = 0x0000_ffff_0000_ffff_0000_ffff_0000_ffff;
+    const LO8: u128 = 0x00ff_00ff_00ff_00ff_00ff_00ff_00ff_00ff;
+    const LO4: u128 = 0x0f0f_0f0f_0f0f_0f0f_0f0f_0f0f_0f0f_0f0f;
+    const ONES: u128 = 0x0101_0101_0101_0101_0101_0101_0101_0101;
+    let y = u128::from(x);
+    let y = (y | y << 32) & LO32;
+    let y = (y | y << 16) & LO16;
+    let y = (y | y << 8) & LO8;
+    let y = (y | y << 4) & LO4;
+    let letters = ((y + 6 * ONES) >> 4) & ONES;
+    (y + 0x30 * ONES + letters * 39).to_be_bytes()
+}
+
+/// Append `v`'s IEEE-754 bit pattern as exactly 16 lowercase hex digits —
+/// the text of `format!("{:016x}", v.to_bits())`, without allocating.
+fn push_f64_hex(out: &mut String, v: f64) {
+    // Every byte is an ASCII hex digit, so the conversion cannot fail.
+    out.push_str(std::str::from_utf8(&hex16(v.to_bits())).unwrap_or_default());
+}
+
+/// An `f64` as its 16-hex-digit IEEE-754 bit pattern. This is the one
+/// bit-exact float text shared by the checkpoint state codec, the run
+/// cache's outcome codec and the fuzzer's case files; [`parse_f64_hex`]
+/// inverts it for every value, NaN payloads and negative zero included.
+pub fn f64_hex(v: f64) -> String {
+    let mut s = String::with_capacity(16);
+    push_f64_hex(&mut s, v);
+    s
+}
+
+/// Parse the output of [`f64_hex`]. Exactly 16 hex digits or `None`: a
+/// short token is a truncated value, not a small subnormal.
+pub fn parse_f64_hex(tok: &str) -> Option<f64> {
+    hex_bits(tok.as_bytes()).map(f64::from_bits)
+}
+
+/// The 64-bit value spelled by exactly 16 ASCII hex digits.
+fn hex_bits(digits: &[u8]) -> Option<u64> {
+    if digits.len() != 16 {
+        return None;
+    }
+    // Branch-free: random digits would mispredict a per-digit match. The
+    // low nibble plus 9 for letters (bit 6 set) is the digit's value for
+    // `0-9`, `a-f` and `A-F`; any other byte clears `ok`.
+    let mut ok = true;
+    let mut bits = 0u64;
+    for &b in digits {
+        ok &= b.is_ascii_hexdigit();
+        bits = bits << 4 | u64::from((b & 0xf) + 9 * (b >> 6));
+    }
+    ok.then_some(bits)
+}
+
 /// Serializer for the tagged-line state format.
+///
+/// Values are written straight into one growing buffer — no temporary
+/// string per value — because a checkpoint carries every window-tracker
+/// sample (110,200 floats for the paper's 20 µs / 1 ms / 10 ms windows).
 ///
 /// ```
 /// use hcapp_sim_core::state::{StateReader, StateWriter};
@@ -67,12 +133,24 @@ impl StateWriter {
         !tag.is_empty() && tag.chars().all(|c| c.is_ascii_graphic())
     }
 
-    /// Write an unsigned integer line: `tag 123`.
-    pub fn u64(&mut self, tag: &str, v: u64) {
+    /// Start a line: `tag ` (the caller writes the value and the newline).
+    fn head(&mut self, tag: &str) {
         debug_assert!(Self::tag_ok(tag), "bad state tag {tag:?}");
         self.buf.push_str(tag);
         self.buf.push(' ');
-        self.buf.push_str(&v.to_string());
+    }
+
+    /// Append an integer in decimal (the text of `v.to_string()`).
+    fn push_u64(&mut self, v: u64) {
+        use std::fmt::Write;
+        // Writing into a `String` cannot fail.
+        let _ = write!(self.buf, "{v}");
+    }
+
+    /// Write an unsigned integer line: `tag 123`.
+    pub fn u64(&mut self, tag: &str, v: u64) {
+        self.head(tag);
+        self.push_u64(v);
         self.buf.push('\n');
     }
 
@@ -93,22 +171,19 @@ impl StateWriter {
 
     /// Write an `f64` as its 16-hex-digit bit pattern: `tag 3ff0000000000000`.
     pub fn f64(&mut self, tag: &str, v: f64) {
-        debug_assert!(Self::tag_ok(tag), "bad state tag {tag:?}");
-        self.buf.push_str(tag);
-        self.buf.push(' ');
-        self.buf.push_str(&format!("{:016x}", v.to_bits()));
+        self.head(tag);
+        push_f64_hex(&mut self.buf, v);
         self.buf.push('\n');
     }
 
     /// Write an optional `f64`: `tag none` or `tag some <hex>`.
     pub fn opt_f64(&mut self, tag: &str, v: Option<f64>) {
-        debug_assert!(Self::tag_ok(tag), "bad state tag {tag:?}");
-        self.buf.push_str(tag);
+        self.head(tag);
         match v {
-            None => self.buf.push_str(" none"),
+            None => self.buf.push_str("none"),
             Some(x) => {
-                self.buf.push_str(" some ");
-                self.buf.push_str(&format!("{:016x}", x.to_bits()));
+                self.buf.push_str("some ");
+                push_f64_hex(&mut self.buf, x);
             }
         }
         self.buf.push('\n');
@@ -116,13 +191,12 @@ impl StateWriter {
 
     /// Write an optional `u64`: `tag none` or `tag some 123`.
     pub fn opt_u64(&mut self, tag: &str, v: Option<u64>) {
-        debug_assert!(Self::tag_ok(tag), "bad state tag {tag:?}");
-        self.buf.push_str(tag);
+        self.head(tag);
         match v {
-            None => self.buf.push_str(" none"),
+            None => self.buf.push_str("none"),
             Some(x) => {
-                self.buf.push_str(" some ");
-                self.buf.push_str(&x.to_string());
+                self.buf.push_str("some ");
+                self.push_u64(x);
             }
         }
         self.buf.push('\n');
@@ -130,26 +204,26 @@ impl StateWriter {
 
     /// Write a slice of `f64` on one line: `tag <n> <hex> <hex> ...`.
     pub fn f64_slice(&mut self, tag: &str, vs: &[f64]) {
-        debug_assert!(Self::tag_ok(tag), "bad state tag {tag:?}");
-        self.buf.push_str(tag);
-        self.buf.push(' ');
-        self.buf.push_str(&vs.len().to_string());
-        for v in vs {
+        self.buf.reserve(tag.len() + 22 + 17 * vs.len());
+        self.head(tag);
+        self.push_u64(vs.len() as u64);
+        for &v in vs {
             self.buf.push(' ');
-            self.buf.push_str(&format!("{:016x}", v.to_bits()));
+            push_f64_hex(&mut self.buf, v);
         }
         self.buf.push('\n');
     }
 
     /// Write a slice of `u64` on one line: `tag <n> <v> <v> ...`.
     pub fn u64_slice(&mut self, tag: &str, vs: &[u64]) {
-        debug_assert!(Self::tag_ok(tag), "bad state tag {tag:?}");
-        self.buf.push_str(tag);
-        self.buf.push(' ');
-        self.buf.push_str(&vs.len().to_string());
-        for v in vs {
+        // Two bytes per value is exact for single digits; longer values
+        // grow the buffer as usual.
+        self.buf.reserve(tag.len() + 22 + 2 * vs.len());
+        self.head(tag);
+        self.push_u64(vs.len() as u64);
+        for &v in vs {
             self.buf.push(' ');
-            self.buf.push_str(&v.to_string());
+            self.push_u64(v);
         }
         self.buf.push('\n');
     }
@@ -160,13 +234,11 @@ impl StateWriter {
     /// # Panics
     /// Panics if `s` is empty or contains whitespace/control characters.
     pub fn token(&mut self, tag: &str, s: &str) {
-        debug_assert!(Self::tag_ok(tag), "bad state tag {tag:?}");
         assert!(
             Self::tag_ok(s),
             "state token must be a non-empty printable word, got {s:?}"
         );
-        self.buf.push_str(tag);
-        self.buf.push(' ');
+        self.head(tag);
         self.buf.push_str(s);
         self.buf.push('\n');
     }
@@ -230,16 +302,9 @@ impl<'a> StateReader<'a> {
         }
     }
 
-    fn parse_f64(tok: &str) -> Option<f64> {
-        if tok.len() != 16 {
-            return None;
-        }
-        u64::from_str_radix(tok, 16).ok().map(f64::from_bits)
-    }
-
     /// Read an `f64` bit-pattern line.
     pub fn f64(&mut self, tag: &str) -> Option<f64> {
-        Self::parse_f64(self.field(tag)?)
+        parse_f64_hex(self.field(tag)?)
     }
 
     /// Read an optional `f64` line.
@@ -250,7 +315,7 @@ impl<'a> StateReader<'a> {
             return Some(None);
         }
         let tok = rest.strip_prefix("some ")?;
-        Self::parse_f64(tok).map(Some)
+        parse_f64_hex(tok).map(Some)
     }
 
     /// Read an optional `u64` line.
@@ -265,14 +330,20 @@ impl<'a> StateReader<'a> {
 
     /// Read an `f64` slice line into a `Vec`.
     pub fn f64_vec(&mut self, tag: &str) -> Option<Vec<f64>> {
-        let mut toks = self.field(tag)?.split(' ');
-        let n: usize = toks.next()?.parse().ok()?;
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(Self::parse_f64(toks.next()?)?);
-        }
-        if toks.next().is_some() {
+        let rest = self.field(tag)?;
+        let (count, values) = rest.split_at(rest.find(' ').unwrap_or(rest.len()));
+        let n: usize = count.parse().ok()?;
+        // Every value is a space and 16 hex digits, so the count fixes the
+        // line length and each value's offset.
+        if values.len() != n.checked_mul(17)? {
             return None;
+        }
+        let mut out = Vec::with_capacity(n);
+        for tok in values.as_bytes().chunks_exact(17) {
+            let (b' ', hex) = tok.split_first()? else {
+                return None;
+            };
+            out.push(f64::from_bits(hex_bits(hex)?));
         }
         Some(out)
     }
@@ -362,6 +433,75 @@ mod tests {
             assert_eq!(r.f64("v").unwrap().to_bits(), v.to_bits());
         }
         assert!(r.finished().is_some());
+    }
+
+    #[test]
+    fn fast_writers_match_format() {
+        let mut rng = crate::rng::DeterministicRng::new(0x5eed);
+        let specials = [
+            0.0,
+            -0.0,
+            1.0,
+            -1.0,
+            f64::MIN_POSITIVE,
+            f64::MAX,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            f64::from_bits(0x7ff8_0000_dead_beef),
+            f64::from_bits(1),
+            f64::from_bits(0x0123_4567_89ab_cdef),
+            f64::from_bits(0xfedc_ba98_7654_3210),
+            1.0 / 3.0,
+        ];
+        let randoms: Vec<f64> = (0..10_000).map(|_| f64::from_bits(rng.next_u64())).collect();
+        for v in specials.iter().chain(&randoms).copied() {
+            let want = format!("{:016x}", v.to_bits());
+            assert_eq!(f64_hex(v), want);
+            assert_eq!(parse_f64_hex(&want).map(f64::to_bits), Some(v.to_bits()));
+            let mut w = StateWriter::new();
+            w.f64("v", v);
+            w.opt_f64("o", Some(v));
+            assert_eq!(w.finish(), format!("v {want}\no some {want}\n"));
+        }
+        let mut w = StateWriter::new();
+        w.f64_slice("xs", &randoms);
+        let want: String = randoms.iter().map(|v| format!(" {:016x}", v.to_bits())).collect();
+        assert_eq!(w.finish(), format!("xs {}{want}\n", randoms.len()));
+
+        let ints = [0, 9, 10, 99, 100, u64::from(u32::MAX), u64::MAX - 1, u64::MAX];
+        for v in ints {
+            let mut w = StateWriter::new();
+            w.u64("n", v);
+            w.opt_u64("o", Some(v));
+            let want = v.to_string();
+            assert_eq!(w.finish(), format!("n {want}\no some {want}\n"));
+        }
+        let mut w = StateWriter::new();
+        w.u64_slice("ns", &ints);
+        let want: String = ints.iter().map(|v| " ".to_string() + &v.to_string()).collect();
+        assert_eq!(w.finish(), format!("ns {}{want}\n", ints.len()));
+    }
+
+    #[test]
+    fn parse_f64_hex_wants_exactly_16_hex_digits() {
+        assert_eq!(parse_f64_hex("3FF0000000000000"), Some(1.0));
+        // Every byte in every position: accepted exactly when it is a hex
+        // digit, and then with `from_str_radix`'s value.
+        for b in 0..=u8::MAX {
+            for pos in [0, 7, 15] {
+                let mut tok = *b"0123456789abcdef";
+                tok[pos] = b;
+                let want = std::str::from_utf8(&tok)
+                    .ok()
+                    .filter(|_| b.is_ascii_hexdigit())
+                    .and_then(|t| u64::from_str_radix(t, 16).ok());
+                assert_eq!(hex_bits(&tok), want, "byte {b:#04x} at {pos}");
+            }
+        }
+        for tok in ["", "ab", "3ff000000000000", "3ff00000000000000", "+ff0000000000000", "3ff000000000000g"] {
+            assert!(parse_f64_hex(tok).is_none(), "accepted {tok:?}");
+        }
     }
 
     #[test]

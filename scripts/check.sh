@@ -22,6 +22,9 @@ RUSTFLAGS="-D warnings" cargo build --release
 echo "==> cargo test -q"
 cargo test -q
 
+echo "==> benchmark package tests (traced replica, workload purity, metric tables)"
+cargo test --release --offline --manifest-path benchmark/Cargo.toml
+
 echo "==> cargo run -p simlint -- --deny-all"
 cargo run -p simlint -q -- --deny-all
 
