@@ -6,6 +6,7 @@
 //! use a looping backlog so the accelerator stays busy for the whole test
 //! (the paper loops short workloads, §4).
 
+use hcapp_sim_core::frame::StepFrame;
 use hcapp_sim_core::time::SimDuration;
 use hcapp_sim_core::units::{Volt, Watt};
 use hcapp_workloads::sha::ShaWorkload;
@@ -59,34 +60,18 @@ impl ShaAccelerator {
     /// Advance one tick at lane voltage `v` (already domain-normalized).
     /// Returns the accelerator power this tick.
     pub fn step(&mut self, v: Volt, dt: SimDuration) -> Watt {
-        let v = v.clamp(self.cfg.v_min, self.cfg.v_max);
-        let busy_power = self.lane_pw.eval(v.value()) * 1e-3 * self.cfg.lanes as f64;
-        if self.workload.is_idle() {
-            self.last_power = Watt::new(busy_power * self.cfg.idle_fraction);
-            return self.last_power;
-        }
-        let tp_gbps = self.lane_tp.eval(v.value()) * self.cfg.lanes as f64;
-        let gbits = tp_gbps * dt.as_secs_f64();
-        let drained = self.workload.drain(gbits);
-        // If the backlog ran out mid-tick, pro-rate the power.
-        let busy_frac = if gbits > 0.0 { drained / gbits } else { 0.0 };
-        self.last_power = Watt::new(
-            busy_power * busy_frac + busy_power * self.cfg.idle_fraction * (1.0 - busy_frac),
-        );
+        let mut acc = 0.0;
+        self.step_into(&mut StepFrame::new(&[v], dt, &mut acc));
         self.last_power
     }
 
     /// Advance one tick through a borrowed [`StepFrame`] — the
-    /// quantum-stepper kernel's entry point (`frame.voltages[0]` is the
-    /// lane voltage; the accelerator is a single controllable unit).
-    ///
-    /// Bit-identical to [`ShaAccelerator::step`] (pinned by
-    /// `step_into_matches_step` below and the golden-digest corpus): both
-    /// LUT evaluations are pure in the clamped voltage, so the one-entry
-    /// memo only skips recomputation, never changes a value.
-    ///
-    /// [`StepFrame`]: hcapp_sim_core::frame::StepFrame
-    pub fn step_into(&mut self, frame: &mut hcapp_sim_core::frame::StepFrame<'_>) {
+    /// quantum-stepper kernel's entry point; [`ShaAccelerator::step`] wraps
+    /// it. `frame.voltages[0]` is the lane voltage (the accelerator is a
+    /// single controllable unit); the power is added to `frame.power_acc`.
+    /// Both LUT evaluations are pure in the clamped voltage, so the
+    /// one-entry memo only skips recomputation, never changes a value.
+    pub fn step_into(&mut self, frame: &mut StepFrame<'_>) {
         let v = frame.voltages[0].clamp(self.cfg.v_min, self.cfg.v_max);
         let bits = v.value().to_bits();
         let (busy_power, tp_gbps) = match self.memo {
@@ -152,24 +137,27 @@ mod tests {
     }
 
     #[test]
-    fn step_into_matches_step() {
-        // Kernel entry point vs reference path across a voltage sweep that
-        // both repeats values (memo hits) and changes them (memo misses).
-        use hcapp_sim_core::frame::StepFrame;
-        let mut reference = accel();
-        let mut kernel = accel();
+    fn step_into_golden_digest() {
+        // Pins the tick physics bit for bit: per-tick power and hashed
+        // work across a voltage sweep that both repeats values (memo hits)
+        // and changes them (memo misses).
+        let mut a = accel();
         let dt = SimDuration::from_micros(1);
+        let mut bits = Vec::new();
         for t in 0..10_000u64 {
             let v = [Volt::new(0.4 + 0.5 * ((t / 13 % 10) as f64 / 10.0))];
-            let p_ref = reference.step(v[0], dt).value();
             let mut acc = 0.0;
-            kernel.step_into(&mut StepFrame::new(&v, dt, &mut acc));
-            assert_eq!(p_ref.to_bits(), acc.to_bits(), "tick {t}: power diverged");
+            a.step_into(&mut StepFrame::new(&v, dt, &mut acc));
+            bits.push(acc.to_bits());
         }
-        assert_eq!(
-            reference.work_done().to_bits(),
-            kernel.work_done().to_bits()
-        );
+        bits.push(a.work_done().to_bits());
+        // 64-bit FNV-1a over the little-endian bytes of every pinned value.
+        let fnv1a = |h: u64, b: u8| (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        let h = bits
+            .iter()
+            .flat_map(|b| b.to_le_bytes())
+            .fold(0xcbf2_9ce4_8422_2325, fnv1a);
+        assert_eq!(h, 0x333a_45ce_3ba9_d600, "golden digest {h:#018x}");
     }
 
     #[test]

@@ -10,9 +10,6 @@
 //!   kernel structures (windows, cursors).
 //! * `system` — whole-package simulation throughput per scheme.
 //! * `scaling` — serial vs chiplet-parallel executor across package sizes.
-//! * `kernel` — the quantum-stepper kernel vs the legacy stepper path
-//!   across package sizes (the statistical companion to the hermetic
-//!   `hcapp bench` sweep that CI gates on).
 //! * `figures` — an abbreviated (2 ms) run of every table/figure harness,
 //!   so `cargo bench` exercises each reproduction target end to end.
 
@@ -47,27 +44,6 @@ pub fn scaled_simulation(n_each: usize, millis: u64) -> Simulation {
         ControlScheme::Hcapp,
         limit.guardbanded_target(),
     );
-    Simulation::new(sys, run)
-}
-
-/// Like [`scaled_simulation`] but on an explicit stepper path, for the
-/// kernel-vs-legacy comparison (`StepperPath::Legacy` reproduces the
-/// pre-kernel per-dispatch allocation pattern and unmemoized chiplet
-/// stepping; the serial executor honours it).
-pub fn stepper_simulation(
-    n_each: usize,
-    millis: u64,
-    stepper: hcapp::StepperPath,
-) -> Simulation {
-    let sys = SystemConfig::scaled_system(combo_suite()[3], n_each, n_each, n_each, 7)
-        .expect("bench scales are nonzero");
-    let limit = PowerLimit::package_pin();
-    let run = RunConfig::new(
-        SimDuration::from_millis(millis),
-        ControlScheme::Hcapp,
-        limit.guardbanded_target(),
-    )
-    .with_stepper(stepper);
     Simulation::new(sys, run)
 }
 

@@ -1,8 +1,7 @@
 //! `hcapp bench` — the quantum-stepper kernel's scaling throughput bench.
 //!
 //! Measures control quanta per second for a sweep of package sizes under
-//! three executor shapes, plus the legacy-stepper baseline at the paper's
-//! 3-domain package, and writes a flat JSON report gateable by
+//! three executor shapes and writes a flat JSON report gateable by
 //! `hcapp analyze --assert`:
 //!
 //! * `qps_serial_N` — the serial executor on the kernel path, HCAPP
@@ -12,11 +11,6 @@
 //!   with `batch_quanta = 32` on a coarse 10 µs tick, the regime where
 //!   multi-quantum batching engages (dynamic schemes re-plan every
 //!   quantum, so batching cannot).
-//! * `qps_legacy_3` / `kernel_vs_legacy` — when the sweep includes the
-//!   3-domain point, the same serial run on [`StepperPath::Legacy`] (the
-//!   pre-kernel per-dispatch allocation pattern and unmemoized chiplet
-//!   `step`) and the kernel/legacy throughput ratio measured in this very
-//!   run, so the speedup claim never compares against stale numbers.
 //!
 //! Timings use `std::time::Instant`, which is legal here: the CLI is a
 //! host crate outside simlint L3's simulation-crate scope, and nothing
@@ -25,7 +19,6 @@
 use std::time::Instant;
 
 use hcapp::coordinator::{RunConfig, Simulation};
-use hcapp::kernel::StepperPath;
 use hcapp::limits::PowerLimit;
 use hcapp::resume::total_quanta;
 use hcapp::scheme::ControlScheme;
@@ -104,7 +97,6 @@ pub fn execute(args: &Args) -> Result<String, ArgError> {
         "bench: {ms} ms runs, points [{points_raw}], {workers} workers, best of {trials}\n"
     );
     let mut rows = Vec::with_capacity(points.len());
-    let mut legacy: Option<(f64, f64)> = None;
 
     // Untimed warmup: the first timed region otherwise absorbs one-off
     // process costs (page faults, frequency-governor ramp) and skews the
@@ -157,23 +149,6 @@ pub fn execute(args: &Args) -> Result<String, ArgError> {
             row.n, row.qps_serial, row.qps_pooled, row.qps_batched
         ));
 
-        // The kernel-vs-legacy comparison lives at the paper's 3-domain
-        // package: same config, serial executor, legacy stepper path.
-        if n == 3 {
-            let legacy_s = secs_min(trials, || {
-                Simulation::new(
-                    sys.clone(),
-                    run.clone().with_stepper(StepperPath::Legacy),
-                )
-                .run();
-            });
-            let qps_legacy = quanta / legacy_s.max(1e-9);
-            let ratio = row.qps_serial / qps_legacy.max(1e-9);
-            log.push_str(&format!(
-                "  n=3    legacy {qps_legacy:>10.0} q/s   kernel_vs_legacy {ratio:.2}x\n"
-            ));
-            legacy = Some((qps_legacy, ratio));
-        }
         rows.push(row);
     }
 
@@ -186,11 +161,6 @@ pub fn execute(args: &Args) -> Result<String, ArgError> {
             ",\n  \"qps_serial_{0}\": {1:.1},\n  \"qps_pooled_{0}\": {2:.1},\n  \
              \"qps_batched_{0}\": {3:.1}",
             row.n, row.qps_serial, row.qps_pooled, row.qps_batched
-        ));
-    }
-    if let Some((qps_legacy, ratio)) = legacy {
-        json.push_str(&format!(
-            ",\n  \"qps_legacy_3\": {qps_legacy:.1},\n  \"kernel_vs_legacy\": {ratio:.3}"
         ));
     }
     json.push_str("\n}\n");
@@ -226,7 +196,7 @@ mod tests {
     }
 
     #[test]
-    fn smoke_point_writes_report_with_kernel_vs_legacy() {
+    fn smoke_point_writes_report() {
         let path = std::env::temp_dir().join("hcapp_bench_kernel_test.json");
         let _ = std::fs::remove_file(&path);
         let out = run_cli(&format!(
@@ -234,15 +204,13 @@ mod tests {
             path.display()
         ))
         .unwrap();
-        assert!(out.contains("kernel_vs_legacy"));
+        assert!(out.contains("n=3"));
         let body = std::fs::read_to_string(&path).unwrap();
         for key in [
             "hcapp.bench-kernel",
             "qps_serial_3",
             "qps_pooled_3",
             "qps_batched_3",
-            "qps_legacy_3",
-            "kernel_vs_legacy",
         ] {
             assert!(body.contains(key), "missing {key} in {body}");
         }

@@ -85,8 +85,7 @@ COMMANDS:
             --worker [--stop-at Q]  single resumable link (scripts/soak.sh
                                   SIGKILLs these to soak real process death)
     bench   quantum-stepper scaling bench: quanta/sec per package size under
-            the serial, pooled and batched executors, plus the legacy-stepper
-            baseline at 3 domains (schema hcapp.bench-kernel)
+            the serial, pooled and batched executors (schema hcapp.bench-kernel)
             --points LIST (3,16,64,256)   domain counts to sweep
             --ms N (10)      simulated milliseconds per run
             --workers N (4)  --trials N (3)   pool size / best-of-N

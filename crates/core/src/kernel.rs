@@ -14,34 +14,14 @@
 //! codec (`save_loop`/`load_loop`) still serializes them field by field in
 //! the pre-kernel order, so on-disk checkpoints are unchanged.
 //!
-//! [`StepperPath`] selects which tick loop the serial executor drives:
-//! the allocation-free kernel path (production) or the pre-kernel
-//! reference path (the scaling bench's baseline and the equivalence
-//! property's oracle). The two are byte-identical by contract — see
-//! `DESIGN.md` §6j for the proof obligations.
+//! There is one tick loop: `Domain::run_quantum` drives each chiplet's
+//! borrow-based `step_into`. Its behaviour is pinned by the golden-digest
+//! corpus (`tests/golden_digests.txt`) and the per-chiplet golden tick
+//! digests — see `DESIGN.md` §6j.
 
 use crate::coordinator::{QuantumCtl, QuantumSpec};
 use crate::health::DomainHealth;
 use crate::software::DomainProgress;
-
-/// Which tick loop the serial executor drives domains with.
-///
-/// Both paths produce byte-identical outcomes, traces and checkpoints
-/// (pinned by the golden-digest corpus and the stepper-equivalence
-/// property); the legacy path exists so a single run can measure the
-/// kernel's speedup against the pre-kernel cost model, not as a fallback.
-/// The pooled executor always runs the kernel path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum StepperPath {
-    /// The allocation-free struct-of-arrays kernel (default): memoized
-    /// operating points, borrow-based `step_into` dispatch.
-    #[default]
-    Kernel,
-    /// The pre-kernel reference path: per-quantum dispatch with the
-    /// original per-dispatch allocation pattern and unmemoized per-chiplet
-    /// `step` methods. Serial executor only.
-    Legacy,
-}
 
 /// Per-domain state lanes, indexed by domain position — the
 /// struct-of-arrays half of the kernel layout. Every lane has exactly

@@ -263,8 +263,7 @@ fn run_once(
         ring: ring.as_deref(),
     };
     if opts.workers == 0 {
-        let legacy = run.stepper == crate::kernel::StepperPath::Legacy;
-        let executor = SerialExecutor { domains, legacy };
+        let executor = SerialExecutor { domains };
         let driver = LoopDriver::new(sys, run, global_ctl, vr, sensor, policy, executor);
         drive(driver, candidate, &ctx)
     } else {
@@ -505,7 +504,6 @@ pub fn run_uninterrupted(sys: SystemConfig, run: RunConfig) -> RunOutcome {
         sensor,
         policy,
     } = sim;
-    let legacy = run.stepper == crate::kernel::StepperPath::Legacy;
-    let executor = SerialExecutor { domains, legacy };
+    let executor = SerialExecutor { domains };
     run_loop(sys, run, global_ctl, vr, sensor, policy, executor)
 }

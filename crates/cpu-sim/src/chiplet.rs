@@ -8,9 +8,10 @@
 //! fractions those controllers need next cycle.
 
 use hcapp_power_model::ComponentPowerModel;
+use hcapp_sim_core::frame::StepFrame;
 use hcapp_sim_core::rng::DeterministicRng;
 use hcapp_sim_core::time::SimDuration;
-use hcapp_sim_core::units::{Volt, Watt};
+use hcapp_sim_core::units::{Hertz, Volt, Watt};
 use hcapp_workloads::program::{WorkloadProgram, WorkloadSource};
 
 use crate::config::CpuConfig;
@@ -107,66 +108,23 @@ impl CpuChiplet {
     /// # Panics
     /// Panics if `core_voltages.len() != units()`.
     pub fn step(&mut self, core_voltages: &[Volt], dt: SimDuration) -> Watt {
-        assert_eq!(
-            core_voltages.len(),
-            self.cores.len(),
-            "need one voltage per core"
-        );
-        let sample = self.program.sample();
-        let mut total_core_power = Watt::ZERO;
-        let mut total_dynamic = Watt::ZERO;
-        let mut total_rate = 0.0;
-        let dt_ns = dt.as_nanos() as f64;
-        for (i, core) in self.cores.iter_mut().enumerate() {
-            let v = core_voltages[i].clamp(self.cfg.v_min, self.cfg.v_max);
-            let out = core.step(v, sample, dt);
-            total_core_power += out.power;
-            total_dynamic += out.power - core.model().leakage_power(v);
-            total_rate += out.work_ns / dt_ns;
-            self.last_ipc[i] = out.ipc_fraction;
-        }
-        // The shared program advances at the average core rate (barrier-
-        // coupled data parallelism).
-        let avg_rate = total_rate / self.cores.len() as f64;
-        self.program.advance(avg_rate * dt_ns);
-
-        // Uncore runs at the mean core voltage; its switching tracks memory
-        // traffic (≈ mem_intensity of the current phase, scaled by how busy
-        // the cores are).
-        let mean_v = Volt::new(
-            core_voltages
-                .iter()
-                .map(|v| v.clamp(self.cfg.v_min, self.cfg.v_max).value())
-                .sum::<f64>()
-                / self.cores.len() as f64,
-        );
-        let uncore_activity = sample.mem_intensity * sample.activity;
-        let uncore_power = self.uncore.power(mean_v, uncore_activity);
-
-        let leakage = total_core_power - total_dynamic;
-        self.breakdown.record(total_dynamic, leakage, uncore_power, dt);
-
-        self.last_power = total_core_power + uncore_power;
+        let mut acc = 0.0;
+        self.step_into(&mut StepFrame::new(core_voltages, dt, &mut acc));
         self.last_power
     }
 
     /// Advance one tick through a borrowed [`StepFrame`] — the
-    /// quantum-stepper kernel's entry point.
+    /// quantum-stepper kernel's entry point; [`CpuChiplet::step`] wraps it.
+    /// Adds the chiplet power to `frame.power_acc`.
     ///
-    /// Bit-identical to [`CpuChiplet::step`] (pinned by
-    /// `step_into_matches_step` below and the golden-digest corpus), but
-    /// engineered for the hot loop: the voltage-only model evaluations
-    /// (frequency, leakage) are computed once per *distinct consecutive*
-    /// core voltage and shared across cores holding that voltage — under
-    /// uniform local-controller ratios that is one evaluation per tick
-    /// instead of three per core ([`Core::step`] evaluates the frequency
-    /// curve twice and the leakage curve twice per call).
-    ///
-    /// [`StepFrame`]: hcapp_sim_core::frame::StepFrame
+    /// The voltage-only model evaluations (frequency, leakage) are computed
+    /// once per *distinct consecutive* core voltage and shared across cores
+    /// holding that voltage — under uniform local-controller ratios that is
+    /// one evaluation per tick instead of one per core.
     ///
     /// # Panics
     /// Panics if `frame.voltages.len() != units()`.
-    pub fn step_into(&mut self, frame: &mut hcapp_sim_core::frame::StepFrame<'_>) {
+    pub fn step_into(&mut self, frame: &mut StepFrame<'_>) {
         assert_eq!(
             frame.voltages.len(),
             self.cores.len(),
@@ -183,7 +141,7 @@ impl CpuChiplet {
         // pattern: frequency_at and leakage.power are pure, so reuse is
         // value-identical to recomputation.
         let mut memo_v = f64::NAN.to_bits();
-        let mut memo_f = hcapp_sim_core::units::Hertz::ZERO;
+        let mut memo_f = Hertz::ZERO;
         let mut memo_leak = Watt::ZERO;
         for (i, core) in self.cores.iter_mut().enumerate() {
             let v = frame.voltages[i].clamp(self.cfg.v_min, self.cfg.v_max);
@@ -200,9 +158,14 @@ impl CpuChiplet {
             total_rate += out.work_ns / dt_ns;
             self.last_ipc[i] = out.ipc_fraction;
         }
+        // The shared program advances at the average core rate (barrier-
+        // coupled data parallelism).
         let avg_rate = total_rate / self.cores.len() as f64;
         self.program.advance(avg_rate * dt_ns);
 
+        // Uncore runs at the mean core voltage; its switching tracks memory
+        // traffic (≈ mem_intensity of the current phase, scaled by how busy
+        // the cores are).
         let mean_v = Volt::new(v_sum / self.cores.len() as f64);
         let uncore_activity = sample.mem_intensity * sample.activity;
         let uncore_power = self.uncore.power(mean_v, uncore_activity);
@@ -292,38 +255,32 @@ mod tests {
     }
 
     #[test]
-    fn step_into_matches_step() {
-        // The kernel entry point must be bit-identical to the reference
-        // path — same power, same IPC, same workload cursor, same
-        // breakdown — including under per-core voltage spreads that defeat
-        // the operating-point memo.
-        use hcapp_sim_core::frame::StepFrame;
-        let mut reference = chiplet(Benchmark::Ferret);
-        let mut kernel = chiplet(Benchmark::Ferret);
+    fn step_into_golden_digest() {
+        // Pins the tick physics bit for bit: per-tick power, IPC, workload
+        // cursor and breakdown, with a per-core voltage spread every 7th
+        // tick (the operating-point memo's miss path).
+        let mut c = chiplet(Benchmark::Ferret);
         let dt = SimDuration::from_nanos(100);
-        let n = reference.units();
+        let mut bits = Vec::new();
         for t in 0..20_000u64 {
-            let volts: Vec<Volt> = (0..n)
-                .map(|i| {
-                    // Mostly uniform, periodically spread per core.
-                    let spread = if t % 7 == 0 { 0.01 * i as f64 } else { 0.0 };
-                    Volt::new(0.85 + 0.2 * ((t % 100) as f64 / 100.0) + spread)
-                })
+            let spread = if t % 7 == 0 { 0.01 } else { 0.0 };
+            let volts: Vec<Volt> = (0..c.units())
+                .map(|i| Volt::new(0.85 + 0.2 * ((t % 100) as f64 / 100.0) + spread * i as f64))
                 .collect();
-            let p_ref = reference.step(&volts, dt).value();
             let mut acc = 0.0;
-            kernel.step_into(&mut StepFrame::new(&volts, dt, &mut acc));
-            assert_eq!(p_ref.to_bits(), acc.to_bits(), "tick {t}: power diverged");
-            assert_eq!(reference.ipc_fractions(), kernel.ipc_fractions());
+            c.step_into(&mut StepFrame::new(&volts, dt, &mut acc));
+            bits.push(acc.to_bits());
+            bits.extend(c.ipc_fractions().iter().map(|f| f.to_bits()));
         }
-        assert_eq!(
-            reference.work_done().to_bits(),
-            kernel.work_done().to_bits()
-        );
-        assert_eq!(
-            reference.breakdown().total_joules().to_bits(),
-            kernel.breakdown().total_joules().to_bits()
-        );
+        bits.push(c.work_done().to_bits());
+        bits.push(c.breakdown().total_joules().to_bits());
+        // 64-bit FNV-1a over the little-endian bytes of every pinned value.
+        let fnv1a = |h: u64, b: u8| (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        let h = bits
+            .iter()
+            .flat_map(|b| b.to_le_bytes())
+            .fold(0xcbf2_9ce4_8422_2325, fnv1a);
+        assert_eq!(h, 0xf6d9_f39d_af0d_433c, "golden digest {h:#018x}");
     }
 
     #[test]

@@ -87,35 +87,13 @@ impl Core {
 
     /// Advance the core one tick at supply voltage `v` running `sample`.
     pub fn step(&mut self, v: Volt, sample: PhaseSample, dt: SimDuration) -> CoreStep {
-        if self.jitter_countdown == 0 {
-            self.resample_jitter();
-        }
-        self.jitter_countdown -= 1;
-
-        let f = self.model.frequency(v);
-        let f_ratio = f.value() / self.f_nominal;
-        let activity = (sample.activity * self.jitter).clamp(0.0, 1.0);
-        let jittered = PhaseSample {
-            activity,
-            mem_intensity: sample.mem_intensity,
-        };
-        let power = self.model.power(v, activity);
-        let work_ns = progress_rate(jittered, f_ratio) * dt.as_nanos() as f64
-            * if activity > 0.0 { 1.0 } else { 0.0 };
-        CoreStep {
-            power,
-            work_ns,
-            ipc_fraction: ipc_fraction(jittered, f_ratio),
-        }
+        let (f, leak) = self.model.operating_point(v);
+        self.step_at(v, f, leak, sample, dt)
     }
 
-    /// Advance one tick with a precomputed operating point for `v`.
-    ///
-    /// The quantum-stepper kernel computes `(f, leak) =
-    /// model.operating_point(v)` once per distinct voltage and shares it
-    /// across every core at that voltage; this must stay bit-identical to
-    /// [`Core::step`] (pinned by the `step_into_matches_step` tests), so
-    /// any change to `step` has to be mirrored here.
+    /// Advance one tick with a precomputed operating point `(f, leak) =
+    /// model.operating_point(v)` — the chiplet computes it once per
+    /// distinct voltage and shares it across every core at that voltage.
     pub fn step_at(
         &mut self,
         v: Volt,

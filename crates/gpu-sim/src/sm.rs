@@ -75,41 +75,13 @@ impl StreamingMultiprocessor {
 
     /// Advance one tick at supply voltage `v` running `sample`.
     pub fn step(&mut self, v: Volt, sample: PhaseSample, dt: SimDuration) -> SmStep {
-        if self.jitter_countdown == 0 {
-            self.resample_jitter();
-        }
-        self.jitter_countdown -= 1;
-
-        let f = self.model.frequency(v);
-        let f_ratio = f.value() / self.f_nominal;
-        let activity = (sample.activity * self.jitter).clamp(0.0, 1.0);
-        let utilization = self.warp.utilization_from_activity(activity);
-        let effective = PhaseSample {
-            activity: utilization,
-            mem_intensity: sample.mem_intensity,
-        };
-        let power = self.model.power(v, utilization);
-        let work_ns = if utilization > 0.0 {
-            progress_rate(effective, f_ratio) * dt.as_nanos() as f64 * utilization
-        } else {
-            0.0
-        };
-        let ipc_fraction = utilization / (1.0 + sample.mem_intensity * f_ratio);
-        SmStep {
-            power,
-            work_ns,
-            ipc_fraction,
-        }
+        let (f, leak) = self.model.operating_point(v);
+        self.step_at(v, f, leak, sample, dt)
     }
 
-    /// Advance one tick with a precomputed operating point for `v`.
-    ///
-    /// The quantum-stepper kernel computes `(f, leak) =
-    /// model.operating_point(v)` once per distinct voltage and shares it
-    /// across SMs at that voltage; must stay bit-identical to
-    /// [`StreamingMultiprocessor::step`] (pinned by the
-    /// `step_into_matches_step` test), so changes to `step` have to be
-    /// mirrored here.
+    /// Advance one tick with a precomputed operating point `(f, leak) =
+    /// model.operating_point(v)` — the chiplet computes it once per
+    /// distinct voltage and shares it across every SM at that voltage.
     pub fn step_at(
         &mut self,
         v: Volt,

@@ -1,14 +1,12 @@
 //! Borrow-based stepping frame for the quantum-stepper kernel.
 //!
-//! The chiplet simulators' original `step(&[Volt], dt) -> Watt` entry
-//! points return owned values and leave the caller to scatter them into
-//! its accumulators. The kernel instead hands each simulator a
-//! [`StepFrame`] borrowing the per-unit voltage lane and the power
-//! accumulator slot for the current tick; the simulator writes straight
-//! through the borrow. Every `step_into` implementation is required to be
-//! bit-identical to its `step` counterpart — the per-crate
-//! `step_into_matches_step` tests and the golden-digest corpus
-//! (`tests/golden_digests.txt`) pin that contract.
+//! The kernel hands each chiplet simulator a [`StepFrame`] borrowing the
+//! per-unit voltage lane and the power accumulator slot for the current
+//! tick; the simulator's `step_into` writes straight through the borrow.
+//! `step_into` is each chiplet's one implementation of its tick physics
+//! (the `step(&[Volt], dt) -> Watt` conveniences wrap it), pinned by the
+//! per-crate `step_into_golden_digest` tests and the golden-digest corpus
+//! (`tests/golden_digests.txt`).
 
 use crate::time::SimDuration;
 use crate::units::Volt;

@@ -11,13 +11,17 @@
 //! resurrect a baselined finding, while changing the offending line
 //! itself (the excerpt) does surface it again.
 //!
+//! A full run also reports *stale* classes, whose `count` exceeds the
+//! findings they match: deleting baselined code must shrink the baseline,
+//! so no leftover entry can cover a re-introduced violation.
+//!
 //! The format is a small fixed-schema JSON document; reading and writing
 //! are hand-rolled here because simlint is zero-dependency by rule L4.
 
 use std::collections::BTreeMap;
 use std::path::Path;
 
-use crate::Finding;
+use crate::{Finding, Rule};
 
 pub const BASELINE_FILE: &str = "simlint.baseline.json";
 pub const SCHEMA: &str = "simlint-baseline-v1";
@@ -45,31 +49,53 @@ impl Baseline {
         parse(&text)
     }
 
-    /// Subtract the baseline: returns the findings not covered. Within
-    /// one `(rule, file, excerpt)` class the first `count` occurrences
-    /// (in the caller's sorted order) are considered baselined.
-    pub fn filter_new(&self, findings: Vec<Finding>) -> Vec<Finding> {
-        let mut budget: BTreeMap<(String, String, String), usize> = BTreeMap::new();
+    /// Per-class allowance, keyed `(rule code, file, excerpt)`.
+    fn budget(&self) -> BTreeMap<(String, String, String), usize> {
+        let mut budget = BTreeMap::new();
         for e in &self.entries {
             *budget
                 .entry((e.rule.clone(), e.file.clone(), e.excerpt.clone()))
                 .or_default() += e.count;
         }
+        budget
+    }
+
+    /// Subtract the baseline: returns the findings not covered. Within
+    /// one `(rule, file, excerpt)` class the first `count` occurrences
+    /// (in the caller's sorted order) are considered baselined.
+    pub fn filter_new(&self, findings: Vec<Finding>) -> Vec<Finding> {
+        let mut budget = self.budget();
         findings
             .into_iter()
-            .filter(|f| {
-                let key = (
-                    f.rule.code().to_string(),
-                    f.file.clone(),
-                    f.excerpt.clone(),
-                );
-                match budget.get_mut(&key) {
-                    Some(n) if *n > 0 => {
-                        *n -= 1;
-                        false
-                    }
-                    _ => true,
+            .filter(|f| match budget.get_mut(&key(f)) {
+                Some(n) if *n > 0 => {
+                    *n -= 1;
+                    false
                 }
+                _ => true,
+            })
+            .collect()
+    }
+
+    /// One finding per class whose `count` exceeds the findings it
+    /// matches, on the entry's rule, file and excerpt (line 0). Only
+    /// meaningful against a run of every rule over every file.
+    pub fn stale(&self, findings: &[Finding]) -> Vec<Finding> {
+        let mut budget = self.budget();
+        for f in findings {
+            budget
+                .entry(key(f))
+                .and_modify(|n| *n = n.saturating_sub(1));
+        }
+        budget
+            .into_iter()
+            .filter(|&(_, left)| left > 0)
+            .map(|((rule, file, excerpt), left)| Finding {
+                note: format!("stale {BASELINE_FILE} entry: count exceeds its findings by {left}"),
+                rule: Rule::parse(&rule).unwrap_or(Rule::AllowHygiene),
+                file,
+                line: 0,
+                excerpt,
             })
             .collect()
     }
@@ -78,13 +104,7 @@ impl Baseline {
     pub fn from_findings(findings: &[Finding]) -> Baseline {
         let mut counts: BTreeMap<(String, String, String), usize> = BTreeMap::new();
         for f in findings {
-            *counts
-                .entry((
-                    f.rule.code().to_string(),
-                    f.file.clone(),
-                    f.excerpt.clone(),
-                ))
-                .or_default() += 1;
+            *counts.entry(key(f)).or_default() += 1;
         }
         Baseline {
             entries: counts
@@ -129,6 +149,11 @@ impl Baseline {
     pub fn total(&self) -> usize {
         self.entries.iter().map(|e| e.count).sum()
     }
+}
+
+/// A finding's baseline identity: `(rule code, file, excerpt)`.
+fn key(f: &Finding) -> (String, String, String) {
+    (f.rule.code().to_string(), f.file.clone(), f.excerpt.clone())
 }
 
 /// JSON string escaping for the subset we emit.
@@ -435,6 +460,26 @@ mod tests {
         };
         let moved = vec![finding(Rule::PanicReachability, "f.rs", 999, "v[0] += 1.0;")];
         assert!(base.filter_new(moved).is_empty());
+    }
+
+    #[test]
+    fn stale_entries_are_reported() {
+        let x = finding(Rule::NoPanic, "f.rs", 3, "x.unwrap();");
+        let y = finding(Rule::PanicReachability, "g.rs", 5, "v[0] += 1.0;");
+        let base = Baseline::from_findings(&[x.clone(), x.clone(), y.clone()]);
+        assert!(base.stale(&[x.clone(), x.clone(), y.clone()]).is_empty());
+        // One `x` deleted: its class is stale by one, named by rule, file
+        // and excerpt; an extra `y` is new and never offsets it.
+        let stale = base.stale(&[x.clone(), y.clone(), y.clone()]);
+        assert_eq!(stale.len(), 1);
+        assert_eq!(stale[0].rule, Rule::NoPanic);
+        assert_eq!(
+            (stale[0].file.as_str(), stale[0].excerpt.as_str()),
+            ("f.rs", "x.unwrap();")
+        );
+        assert!(stale[0].note.ends_with("by 1"), "{}", stale[0].note);
+        // All code deleted: every class is stale.
+        assert_eq!(base.stale(&[]).len(), 2);
     }
 
     #[test]

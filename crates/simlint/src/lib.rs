@@ -369,13 +369,22 @@ impl LoadedWorkspace {
 
     /// Run rules and subtract the committed baseline (when one exists at
     /// `<root>/simlint.baseline.json`). Returns the findings NOT covered
-    /// by the baseline.
+    /// by the baseline, plus — when `rules` is every rule — one finding per
+    /// stale baseline entry ([`baseline::Baseline::stale`]).
     pub fn check_against_baseline(&self, rules: &[Rule]) -> Vec<Finding> {
         let findings = self.check(rules);
-        match baseline::Baseline::load(&self.root) {
-            Some(base) => base.filter_new(findings),
-            None => findings,
-        }
+        let Some(base) = baseline::Baseline::load(&self.root) else {
+            return findings;
+        };
+        let full_run = Rule::ALL.iter().all(|r| rules.contains(r));
+        let stale = if full_run {
+            base.stale(&findings)
+        } else {
+            Vec::new()
+        };
+        let mut fresh = base.filter_new(findings);
+        fresh.extend(stale);
+        fresh
     }
 }
 

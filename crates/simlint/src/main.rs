@@ -12,7 +12,9 @@
 //! `<root>/simlint.baseline.json` unless `--no-baseline` is given;
 //! `--write-baseline` runs all rules and rewrites that file from the
 //! current findings (a deliberate, reviewable act — the diff shows every
-//! newly-accepted violation).
+//! newly-accepted violation). A full run (every rule, no `--changed`)
+//! also fails on stale baseline entries — classes whose `count` exceeds
+//! the findings they still match.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -173,9 +175,18 @@ fn main() -> ExitCode {
     let mut baselined = 0usize;
     if use_baseline {
         if let Some(base) = Baseline::load(&root) {
+            // Stale entries are judged only on a full run: a rule or file
+            // subset leaves entries unmatched by design.
+            let full_run = !changed_only && Rule::ALL.iter().all(|r| run_rules.contains(r));
+            let stale = if full_run {
+                base.stale(&findings)
+            } else {
+                Vec::new()
+            };
             let before = findings.len();
             findings = base.filter_new(findings);
             baselined = before - findings.len();
+            findings.extend(stale);
         }
     }
 

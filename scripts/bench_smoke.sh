@@ -6,10 +6,10 @@
 #      results/BENCH_parallel_thresholds.json.
 #   2. hcapp bench: the quantum-stepper kernel's quanta/sec sweep over
 #      package sizes {3,16,64,256} under the serial/pooled/batched
-#      executors, plus the legacy-stepper baseline and kernel-vs-legacy
-#      ratio -> results/BENCH_kernel.json, gated by
-#      results/BENCH_thresholds.json. (scripts/check.sh runs the faster
-#      {3,64}-point variant of the same gate.)
+#      executors -> results/BENCH_kernel.json, gated by the absolute
+#      quanta/sec floors in results/BENCH_thresholds.json.
+#      (scripts/check.sh runs the faster {3,64}-point variant of the same
+#      gate.)
 # Knobs (all optional):
 #   HCAPP_BENCH_MS       simulated milliseconds per run   (default 20)
 #   HCAPP_BENCH_SCALE    domains per kind                 (default 4 -> 12)

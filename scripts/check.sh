@@ -68,10 +68,10 @@ cargo run --release -p hcapp-cli -q -- faults --seed 7 --check
 
 echo "==> scaling bench smoke (executors + stepper-kernel {3,64} floors)"
 # Fast variant of scripts/bench_smoke.sh: the kernel sweep runs only the
-# 3- and 64-domain points and must clear the committed throughput floors
-# in results/BENCH_thresholds.json (including kernel >= legacy-stepper
-# headroom). The full 4-point sweep that refreshes the committed
-# results/BENCH_kernel.json is the script's default mode.
+# 3- and 64-domain points and must clear the committed absolute
+# quanta/sec floors in results/BENCH_thresholds.json. The full 4-point
+# sweep that refreshes the committed results/BENCH_kernel.json is the
+# script's default mode.
 HCAPP_BENCH_POINTS=3,64 scripts/bench_smoke.sh
 
 echo "==> hcapp soak smoke (kill-and-resume vs uninterrupted oracle, tolerance 0)"

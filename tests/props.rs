@@ -159,58 +159,6 @@ proptest! {
         prop_assert_eq!(run_with(at_ns), run_with(shifted_ns));
     }
 
-    /// Tentpole equivalence (DESIGN §6j): for arbitrary valid packages
-    /// (1–64 domains), executor batch bounds, an optional mid-run retarget
-    /// and an optional light fault plan, the allocation-free kernel
-    /// stepper and the pre-kernel legacy stepper produce byte-identical
-    /// encoded outcomes on the serial executor.
-    #[test]
-    fn stepper_paths_are_byte_identical(
-        combo in 0usize..8,
-        seed in 0u64..1_000,
-        nc in 0usize..22,
-        ng in 0usize..22,
-        ns in 0usize..21,
-        batch_idx in 0usize..3,
-        fixed in 0u8..2,
-        retarget in 0u8..2,
-        faults in 0u8..2,
-    ) {
-        use hcapp_repro::faults::FaultPlan;
-        use hcapp_repro::hcapp::cache::encode_outcome;
-        use hcapp_repro::hcapp::StepperPath;
-        use hcapp_repro::sim_core::time::SimTime;
-        // Keep the package valid: an all-zero draw becomes the smallest one.
-        let (nc, ng, ns) = if nc + ng + ns == 0 { (1, 0, 0) } else { (nc, ng, ns) };
-        let batch = [1usize, 3, 32][batch_idx];
-        let scheme = if fixed == 1 {
-            ControlScheme::fixed_baseline()
-        } else {
-            ControlScheme::Hcapp
-        };
-        let run_with = |stepper: StepperPath| {
-            let sys = SystemConfig::scaled_system(
-                combo_suite()[combo % 8], nc, ng, ns, seed,
-            ).expect("nonzero by construction");
-            let mut run = RunConfig::new(
-                SimDuration::from_micros(200), scheme, Watt::new(84.28))
-                .with_batch_quanta(batch)
-                .with_stepper(stepper);
-            if retarget == 1 {
-                run = run.with_retarget(
-                    SimTime::from_nanos(80_000), Watt::new(70.0));
-            }
-            if faults == 1 {
-                run = run.with_faults(FaultPlan::light(seed));
-            }
-            encode_outcome(&Simulation::new(sys, run).run())
-        };
-        prop_assert_eq!(
-            run_with(StepperPath::Kernel),
-            run_with(StepperPath::Legacy)
-        );
-    }
-
     /// `scaled_system` determinism: the same seed and package shape give
     /// the same outcome digest whichever executor shape runs it (serial,
     /// 2-worker pool, 3-worker pool).
