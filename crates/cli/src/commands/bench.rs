@@ -71,7 +71,10 @@ struct Point {
 pub fn execute(args: &Args) -> Result<String, ArgError> {
     let points_raw = args.string("points", DEFAULT_POINTS)?;
     let ms = args.u64("ms", 10)?.max(1);
-    let workers = args.u64("workers", 4)?.max(1) as usize;
+    // The pool matches the host unless `--workers` says otherwise; the
+    // artifact records both, so a reader can tell an oversubscribed pool.
+    let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let workers = args.u64("workers", host_cores as u64)?.max(1) as usize;
     let trials = args.u64("trials", 3)?.max(1);
     let out_path = args.string("out", "results/BENCH_kernel.json")?;
     args.finish()?;
@@ -94,7 +97,8 @@ pub fn execute(args: &Args) -> Result<String, ArgError> {
     let target = limit.guardbanded_target();
 
     let mut log = format!(
-        "bench: {ms} ms runs, points [{points_raw}], {workers} workers, best of {trials}\n"
+        "bench: {ms} ms runs, points [{points_raw}], {workers} workers \
+         ({host_cores} available), best of {trials}\n"
     );
     let mut rows = Vec::with_capacity(points.len());
 
@@ -154,7 +158,8 @@ pub fn execute(args: &Args) -> Result<String, ArgError> {
 
     let mut json = format!(
         "{{\n  \"schema\": \"hcapp.bench-kernel\",\n  \"version\": 1,\n  \
-         \"ms\": {ms},\n  \"workers\": {workers},\n  \"trials\": {trials}"
+         \"ms\": {ms},\n  \"available_parallelism\": {host_cores},\n  \
+         \"workers\": {workers},\n  \"trials\": {trials}"
     );
     for row in &rows {
         json.push_str(&format!(

@@ -39,8 +39,8 @@ COMMANDS:
             --adversarial-accel                      §3.3.3 adversarial accelerator
             --ripple moderate|severe                 dirty-rail injection
             --thermal                                §3.3 thermal guards
-            --parallel N                             pooled executor with N
-                                                     workers (0/absent = serial)
+            --parallel N                             pooled executor on N threads,
+                                                     caller included (0/absent = serial)
             --trace PATH --voltage-trace PATH        CSV traces
     sweep   run the Table 3 suite (results memoized in the sweep cache)
             --scheme LIST (hcapp,rapl,sw)  --ms N (50)  --budget/--window-us
@@ -70,8 +70,8 @@ COMMANDS:
             (run flags) --plan quiet|light|moderate|severe (moderate)
             --check               executor-determinism + cap-bound self-test
     sanitize schedule-permutation sanitizer: re-run the pooled executor under
-            adversarially permuted worker reply orders; every outcome must be
-            byte-identical to the serial run
+            seeded adversarial shard assignments and start orders; every
+            outcome must be byte-identical to the serial run
             (run flags) --orderings N (16)   permutation seeds per worker count
             --parallel N          single worker count (absent = 2 and 3)
     soak    chaos soak: kill a checkpointing run at seeded quanta, resume
@@ -88,7 +88,7 @@ COMMANDS:
             the serial, pooled and batched executors (schema hcapp.bench-kernel)
             --points LIST (3,16,64,256)   domain counts to sweep
             --ms N (10)      simulated milliseconds per run
-            --workers N (4)  --trials N (3)   pool size / best-of-N
+            --workers N (host cores)  --trials N (3)   pool size / best-of-N
             --out PATH (results/BENCH_kernel.json)
     fuzz    deterministic config-space fuzzer: differential legs (serial vs
             pooled vs permuted vs batched vs kill-and-resume vs cache) plus

@@ -3,10 +3,11 @@
 //!
 //! Builds one configuration from the shared run flags, then drives
 //! [`hcapp::simsan::check_permutations`]: a serial reference run followed
-//! by one pooled run per `(ordering seed, worker count)`, every reply
-//! schedule adversarially permuted. Exits with an error (non-zero status
-//! via the dispatch layer) if any ordering's outcome deviates from the
-//! serial bytes — that is a real executor bug, not noise.
+//! by one pooled run per `(ordering seed, worker count)`, each with an
+//! adversarially permuted shard assignment and start schedule. Exits with
+//! an error (non-zero status via the dispatch layer) if any ordering's
+//! outcome deviates from the serial bytes — that is a real executor bug,
+//! not noise.
 
 use hcapp::simsan::{check_permutations, default_seeds};
 
@@ -35,7 +36,7 @@ pub fn execute(args: &Args) -> Result<String, ArgError> {
         report.reference_len
     ));
     if report.clean() {
-        out.push_str("result: PASS — every permuted merge matched the serial bytes\n");
+        out.push_str("result: PASS — every permuted schedule matched the serial bytes\n");
         Ok(out)
     } else {
         for m in &report.mismatches {

@@ -121,9 +121,11 @@ pub fn degraded(args: &Args) -> Result<hcapp::DegradedConfig, ArgError> {
 }
 
 /// Decode `--parallel N`: `None` (flag absent or `0`) selects the serial
-/// coordinator, `Some(n)` the pooled executor with `n` workers. `--parallel
-/// 1` therefore means "pooled with one worker" — useful for isolating
-/// executor overhead — and every subcommand decodes the flag identically.
+/// coordinator, `Some(n)` the pooled executor on `n` threads, the calling
+/// thread included (`n - 1` helpers). `--parallel 1` therefore runs every
+/// domain inline on the pooled executor's path, spawning no thread —
+/// useful for isolating executor overhead — and every subcommand decodes
+/// the flag identically.
 pub fn parallel_workers(args: &Args) -> Result<Option<usize>, ArgError> {
     Ok(match args.u64("parallel", 0)? as usize {
         0 => None,

@@ -267,10 +267,10 @@ pub(crate) const FIXED_QUANTUM: SimDuration = SimDuration::from_micros(100);
 /// plan and no tracer attached. The dynamic schemes *cannot* batch across
 /// quanta without changing results: the global PID reads the previous
 /// quantum's sensed power at every boundary (§4.1), so each quantum's
-/// voltage schedule depends on the one before it. For those, the win comes
-/// from the pooled executor's per-worker reply merging instead (see
-/// [`crate::parallel`]). The value therefore trades executor round trips
-/// against working-set size, never correctness.
+/// voltage schedule depends on the one before it. Those pay one epoch
+/// barrier of the pooled executor per quantum (see [`crate::parallel`]).
+/// The value therefore trades executor round trips against working-set
+/// size, never correctness.
 pub const BATCH_QUANTA: usize = 32;
 
 /// One control quantum's worth of executor input, referencing slices of the

@@ -1,10 +1,9 @@
 //! Parallel execution.
 //!
 //! Two levels of parallelism, both deterministic, both built on the standard
-//! library only (`std::sync::mpsc` channels, `std::sync::Mutex`/`Condvar`)
-//! so the workspace stays hermetic — simlint rule L4 forbids registry
-//! dependencies, and rule L3 plus the determinism regression tests in this
-//! module keep the parallel paths bit-identical to the serial ones:
+//! library only, so the workspace stays hermetic — simlint rule L4 forbids
+//! registry dependencies, and rule L3 plus the determinism regression tests
+//! in this module keep the parallel paths bit-identical to the serial ones:
 //!
 //! 1. **Run-level** ([`run_all`] / [`WorkerPool`]) — the experiment sweeps
 //!    (8 combos × 4 schemes × limits) are embarrassingly parallel: a
@@ -16,23 +15,30 @@
 //!
 //! 2. **Chiplet-level** ([`Simulation::run_parallel`]) — inside one run,
 //!    domains are independent within a control quantum (the global voltage
-//!    schedule is fixed at the boundary), so each worker thread owns a
-//!    subset of domains and advances them per dispatched *batch* of quanta.
-//!    Two protocol choices keep channel traffic off the critical path:
-//!    the coordinator ships multi-quantum batches whenever the run has no
-//!    per-quantum feedback (see [`crate::coordinator::BATCH_QUANTA`]), and
-//!    each worker sends **one reply per batch** covering all the domains it
-//!    owns — so a quantum costs `workers` receives, not `n_domains`, which
-//!    is what used to make the 1 µs HCAPP quantum lose to serial on small
-//!    systems. Per-domain power vectors are still merged *in domain
-//!    order*, making the result bit-identical to the serial executor — an
-//!    integration test asserts this.
+//!    schedule is fixed at the boundary). The domains are cut, in index
+//!    order, into contiguous shards balanced on stepping cost, and each
+//!    shard is owned by one thread for the whole run: the calling thread
+//!    serves the heaviest shard and one scoped helper serves each other
+//!    shard. A
+//!    dispatch is one shared-memory epoch barrier, not a message
+//!    round-trip: the coordinator writes the command in place, bumps an
+//!    atomic epoch, serves its own shard, and waits for the helpers'
+//!    arrival count to reach zero. Waiting threads spin for a short fixed
+//!    budget, then yield, then park, so a pool larger than the host's core
+//!    count still makes progress. Every domain's powers, heartbeat, events
+//!    and state land in buffers of its own, which the coordinator merges
+//!    *in domain order* after the barrier — making the result
+//!    bit-identical to the serial executor whatever the shard layout or
+//!    timing (integration tests and [`crate::simsan`] assert this).
 
 use std::collections::VecDeque;
-use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
-use std::thread;
+use std::ops::Range;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::mpsc::{channel, Sender};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError, RwLock};
+use std::thread::{self, Thread};
 
+use hcapp_sim_core::rng::DeterministicRng;
 use hcapp_sim_core::time::SimDuration;
 use hcapp_telemetry::TraceEvent;
 
@@ -198,163 +204,388 @@ pub fn run_all(jobs: Vec<(SystemConfig, RunConfig)>, workers: usize) -> Vec<RunO
     shared_pool(workers.max(1)).run_all(jobs)
 }
 
-/// A batch command broadcast to every domain worker: the coordinator's
-/// quantum specs plus the batch-wide voltage schedule they index into.
-struct BatchCmd {
-    /// The quanta of this batch, in time order.
+/// Spin-loop rounds a waiting thread polls before it starts yielding:
+/// about 6 µs on the reference host, which covers the coordinator's serial
+/// work between two dispatches on the paper package, so a helper with a
+/// core of its own meets the next epoch without a futex round-trip.
+const SPINS: u32 = 1 << 8;
+/// `yield_now` rounds after the spin and before parking. On a host with
+/// fewer cores than threads they hand the core to a thread that has work;
+/// otherwise they keep polling for about 15 µs more.
+const YIELDS: u32 = 1 << 5;
+
+/// Wait until `ready()` holds: spin for a fixed budget, then yield, then
+/// park. Whoever makes `ready()` true unparks the waiter afterwards; an
+/// unpark that lands before the park leaves a token that makes the park
+/// return at once, so no wake-up is lost.
+fn wait_until(ready: impl Fn() -> bool) {
+    for _ in 0..SPINS {
+        if ready() {
+            return;
+        }
+        std::hint::spin_loop();
+    }
+    for _ in 0..YIELDS {
+        if ready() {
+            return;
+        }
+        thread::yield_now();
+    }
+    while !ready() {
+        thread::park();
+    }
+}
+
+/// What one dispatch asks of every shard.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+enum Op {
+    /// Advance every domain through the batch of quanta.
+    #[default]
+    Batch,
+    /// Record each domain's cumulative work.
+    ReportWork,
+    /// Serialize each domain's checkpoint payload.
+    SaveState,
+    /// Restore each domain from the payload at its index.
+    LoadState,
+}
+
+/// One shard's sanitizer schedule for one dispatch.
+#[derive(Debug, Clone, Copy, Default)]
+struct Turn {
+    /// `yield_now` calls before the shard starts.
+    yields: u64,
+    /// The shard serves its members starting at this position (mod the
+    /// member count), wrapping round.
+    rotate: u64,
+}
+
+/// The dispatch command. The coordinator writes it while every helper
+/// waits at the barrier, and every shard reads it during the epoch that
+/// follows. Its buffers are refilled in place, so once they have grown a
+/// dispatch allocates nothing.
+#[derive(Default)]
+struct Command {
+    op: Op,
+    /// The quanta of a batch, in time order.
     quanta: Vec<QuantumSpec>,
     /// Global voltage per tick across the whole batch.
     v_sched: Vec<f64>,
-    /// Per-domain commands (priority, throttle, faults), global indexing,
-    /// shared by every quantum of the batch (the coordinator only batches
-    /// when they are quantum-invariant).
+    /// Per-domain commands, global indexing, shared by every quantum of
+    /// the batch (the coordinator only batches when they are
+    /// quantum-invariant).
     ctls: Vec<QuantumCtl>,
     tick: SimDuration,
-    /// Whether workers should collect trace events (single-quantum batches
-    /// only — the coordinator never batches a traced run).
+    /// Collect trace events (single-quantum batches only: the coordinator
+    /// never batches a traced run).
     collect_events: bool,
+    /// `LoadState` payloads, global indexing.
+    states: Vec<String>,
+    /// Per-shard sanitizer schedule; empty in production.
+    turns: Vec<Turn>,
 }
 
-/// One domain's results for a batch, inside its worker's reply.
-struct DomainBatch {
-    domain_idx: usize,
-    /// Per-tick power across the whole batch.
+/// One domain and what its shard last computed for it. The coordinator
+/// reads these after the barrier. Cache-line aligned, so the members of
+/// two shards never share a line.
+#[repr(align(128))]
+struct Member {
+    /// Global domain index.
+    index: usize,
+    domain: Domain,
+    /// Per-tick power across the last batch. Zeroed before stepping, so
+    /// each entry is exactly the domain's tick power (`0.0 + p == p`).
     powers: Vec<f64>,
-    work_done: f64,
-    /// Heartbeat: the domain's controller accepted the batch's last quantum
-    /// (for a `LoadState` reply: the payload restored cleanly).
-    responded: bool,
-    /// Trace events this domain emitted (empty unless collecting).
+    /// Trace events of the last batch (empty unless collecting).
     events: Vec<TraceEvent>,
-    /// Serialized domain state (non-empty only for `SaveState` replies).
+    /// Heartbeat of the last batch's final quantum; after `LoadState`,
+    /// whether the payload restored cleanly.
+    responded: bool,
+    work_done: f64,
+    /// Checkpoint payload, filled by `SaveState`.
     state: String,
 }
 
-/// One worker's reply to a [`WorkerMsg`]: results for every domain it owns.
-/// Replying per worker instead of per domain divides the coordinator's
-/// receive count per quantum by the domains-per-worker ratio — the receive
-/// path is what dominates at the paper's 1 µs control quantum.
-struct WorkerReply {
-    domains: Vec<DomainBatch>,
+impl Member {
+    fn new(index: usize, domain: Domain) -> Member {
+        Member {
+            index,
+            work_done: domain.sim.work_done(),
+            domain,
+            powers: Vec::new(),
+            events: Vec::new(),
+            responded: true,
+            state: String::new(),
+        }
+    }
+
+    fn serve(&mut self, cmd: &Command) {
+        match cmd.op {
+            Op::Batch => self.step_quanta(cmd),
+            Op::ReportWork => self.work_done = self.domain.sim.work_done(),
+            Op::SaveState => self.state = encode_domain_state(&self.domain),
+            Op::LoadState => {
+                self.responded = cmd
+                    .states
+                    .get(self.index)
+                    .and_then(|s| decode_domain_state(&mut self.domain, s))
+                    .is_some();
+            }
+        }
+    }
+
+    fn step_quanta(&mut self, cmd: &Command) {
+        let Some(ctl) = cmd.ctls.get(self.index) else {
+            return;
+        };
+        self.powers.clear();
+        self.powers.resize(cmd.v_sched.len(), 0.0);
+        self.events.clear();
+        for q in &cmd.quanta {
+            let ticks = q.offset..q.offset + q.n;
+            let (Some(v), Some(p)) = (cmd.v_sched.get(ticks.clone()), self.powers.get_mut(ticks))
+            else {
+                continue;
+            };
+            self.responded = self.domain.run_quantum(
+                q.t0,
+                v,
+                q.update_local,
+                ctl,
+                cmd.tick,
+                p,
+                cmd.collect_events.then_some(&mut self.events),
+            );
+        }
+    }
 }
 
-enum WorkerMsg {
-    /// Advance through a batch. The second field carries recycled
-    /// [`DomainBatch`] shells from previous replies — the worker drains
-    /// their buffers (cleared and re-zeroed, so values are identical to
-    /// fresh allocations) instead of allocating per domain per dispatch.
-    Batch(Arc<BatchCmd>, Vec<DomainBatch>),
-    /// Request current work figures without advancing.
-    ReportWork,
-    /// Serialize each owned domain's checkpoint payload without advancing.
-    SaveState,
-    /// Restore each owned domain from the payload at its global index.
-    LoadState(Arc<Vec<String>>),
+/// The domains one thread serves, for the whole run.
+struct Shard {
+    members: Vec<Member>,
 }
 
-/// Deterministic splitmix64 step — the sanitizer's only entropy source, so
-/// a failing ordering is reproducible from its seed alone.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e3779b97f4a7c15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-    z ^ (z >> 31)
+impl Shard {
+    /// Serve every member, starting at `rotate` (mod the member count).
+    fn serve(&mut self, cmd: &Command, rotate: u64) {
+        let mid = (rotate % self.members.len().max(1) as u64) as usize;
+        let (front, back) = self.members.split_at_mut(mid);
+        for m in back.iter_mut().chain(front) {
+            m.serve(cmd);
+        }
+    }
 }
 
-/// Adversarial reply-order permuter for the schedule-permutation sanitizer
-/// ([`crate::simsan`]). When installed on a [`PooledExecutor`], every
-/// dispatch first drains *all* worker replies (a maximally delayed merge)
-/// and then releases the per-domain batches in a seed-determined order —
-/// modelling the worst legal message schedule the channel protocol allows.
-/// The executor's results must not change: merging happens by domain
-/// index, so any arrival order is equivalent. The sanitizer makes that
-/// claim executable.
-pub(crate) struct ReplyPermuter {
+/// Puts its contents on cache lines of their own (128 bytes also covers
+/// the adjacent-line prefetcher), so that a value one thread writes never
+/// shares a line with a value another thread polls or writes.
+#[repr(align(128))]
+struct CacheAligned<T>(T);
+
+impl<T> std::ops::Deref for CacheAligned<T> {
+    type Target = T;
+    fn deref(&self) -> &T {
+        &self.0
+    }
+}
+
+/// The epoch value that tells every helper to return.
+const EXIT: u64 = u64::MAX;
+
+/// State the coordinator and its helpers share for one run.
+struct Shared {
+    cmd: CacheAligned<RwLock<Command>>,
+    /// Shard `k` is served by helper `k`; shard 0 by the calling thread.
+    /// Guards are taken through poisoning: a poisoned lock belongs to a
+    /// helper that panicked, whose panic the thread scope re-raises when
+    /// the run ends, so the coordinator reads on instead of panicking too.
+    shards: Vec<CacheAligned<Mutex<Shard>>>,
+    /// Bumped once per dispatch, after `cmd` is written; [`EXIT`] when the
+    /// executor drops. The coordinator's `Release` bump pairs with each
+    /// helper's `Acquire` load, publishing the command and `pending`.
+    epoch: CacheAligned<AtomicU64>,
+    /// Helpers that have not yet finished the current dispatch. Each
+    /// helper's `AcqRel` decrement pairs with the coordinator's `Acquire`
+    /// load, publishing the shard's results (which the shard locks also
+    /// order).
+    pending: CacheAligned<AtomicUsize>,
+    /// Helpers still serving. One whose shard panics leaves, so later
+    /// dispatches do not wait for it; the thread scope re-raises its panic
+    /// when the run ends.
+    live: AtomicUsize,
+    /// The calling thread, unparked by the last helper to arrive.
+    coordinator: Thread,
+}
+
+/// Serve shard `k` for the published command, after the sanitizer's
+/// start delay for it, which is taken with no guard held.
+fn serve_shard(shared: &Shared, k: usize) {
+    let mut cmd = shared.cmd.read().unwrap_or_else(PoisonError::into_inner);
+    let delay = cmd.turns.get(k).map_or(0, |t| t.yields);
+    if delay > 0 {
+        {
+            // Release the guard for the delay (not `drop(cmd)`: simlint's
+            // call graph would resolve it to every `Drop` impl).
+            let _released = cmd;
+        }
+        for _ in 0..delay {
+            thread::yield_now();
+        }
+        cmd = shared.cmd.read().unwrap_or_else(PoisonError::into_inner);
+    }
+    let rotate = cmd.turns.get(k).map_or(0, |t| t.rotate);
+    if let Some(shard) = shared.shards.get(k) {
+        shard
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .serve(&cmd, rotate);
+    }
+}
+
+/// A helper's arrival at the barrier. It arrives from a destructor, so a
+/// helper whose shard panics still arrives (and leaves the live count)
+/// instead of stranding the coordinator.
+struct Arrival<'a>(&'a Shared);
+
+impl Drop for Arrival<'_> {
+    fn drop(&mut self) {
+        if thread::panicking() {
+            self.0.live.fetch_sub(1, Ordering::AcqRel);
+        }
+        if self.0.pending.fetch_sub(1, Ordering::AcqRel) == 1 {
+            self.0.coordinator.unpark();
+        }
+    }
+}
+
+/// Helper `k`'s loop: wait for the next epoch, serve shard `k`, arrive.
+fn helper(shared: &Shared, k: usize) {
+    let mut seen = 0;
+    loop {
+        wait_until(|| shared.epoch.load(Ordering::Acquire) != seen);
+        seen = shared.epoch.load(Ordering::Acquire);
+        if seen == EXIT {
+            return;
+        }
+        let arrival = Arrival(shared);
+        serve_shard(shared, k);
+        drop(arrival);
+    }
+}
+
+/// Seeded schedule for the schedule-permutation sanitizer
+/// ([`crate::simsan`]). Installed on a [`PooledExecutor`], it replaces the
+/// contiguous cost-balanced shards with a seeded, generally non-contiguous
+/// domain→shard assignment, and gives every shard of every dispatch a
+/// seeded start delay (`yield_now` calls) and member order. The results
+/// must not change: each domain's outputs land in buffers of its own and
+/// are merged in domain order, so no assignment or timing is observable.
+/// The sanitizer makes that claim executable.
+pub(crate) struct SchedulePermuter {
     seed: u64,
-    /// Per-run dispatch counter, so every batch sees a fresh ordering.
+    /// Dispatches so far; dispatch `d` draws from stream `d` (stream 0 is
+    /// the assignment).
     dispatch: u64,
 }
 
-impl ReplyPermuter {
-    pub(crate) fn new(seed: u64) -> ReplyPermuter {
-        ReplyPermuter { seed, dispatch: 0 }
+impl SchedulePermuter {
+    pub(crate) fn new(seed: u64) -> SchedulePermuter {
+        SchedulePermuter { seed, dispatch: 0 }
     }
 
-    /// Reorder `batch` by deterministic per-element sort keys (a keyed
-    /// shuffle — no index arithmetic, no shared state).
-    fn shuffle<T>(&mut self, batch: Vec<T>) -> Vec<T> {
-        self.dispatch = self.dispatch.wrapping_add(1);
-        let base = splitmix64(self.seed ^ splitmix64(self.dispatch));
-        let mut keyed: Vec<(u64, T)> = batch
-            .into_iter()
-            .enumerate()
-            .map(|(i, item)| (splitmix64(base ^ (i as u64)), item))
-            .collect();
-        keyed.sort_by_key(|(k, _)| *k);
-        keyed.into_iter().map(|(_, item)| item).collect()
+    /// The owning shard of each domain: a seeded shuffle of the domain
+    /// indices cut into `shards` chunks whose sizes differ by at most one.
+    fn owners(&self, n: usize, shards: usize) -> Vec<usize> {
+        let mut rng = DeterministicRng::derive(self.seed, 0);
+        let mut order: Vec<usize> = (0..n).collect();
+        for i in (1..n).rev() {
+            order.swap(i, rng.below(i as u64 + 1) as usize);
+        }
+        let mut owner = vec![0; n];
+        for (pos, &d) in order.iter().enumerate() {
+            owner[d] = pos * shards / n;
+        }
+        owner
+    }
+
+    /// Refill `turns` with the next dispatch's per-shard schedule.
+    fn next_turns(&mut self, turns: &mut Vec<Turn>, shards: usize) {
+        self.dispatch += 1;
+        let mut rng = DeterministicRng::derive(self.seed, self.dispatch);
+        turns.clear();
+        turns.extend((0..shards).map(|_| Turn {
+            yields: rng.below(4),
+            rotate: rng.next_u64(),
+        }));
     }
 }
 
-/// Executor that fans domains out to persistent worker threads.
-pub(crate) struct PooledExecutor<'scope> {
-    cmd_txs: Vec<Sender<WorkerMsg>>,
-    reply_rx: Receiver<WorkerReply>,
+/// Executor that steps domain shards on a barrier-synchronized pool: the
+/// calling thread serves shard 0 (the heaviest range), one scoped helper
+/// serves each other shard.
+pub(crate) struct PooledExecutor<'a> {
+    shared: &'a Shared,
+    /// Helper threads, for unparking; helper `k` serves shard `k`.
+    helpers: Vec<Thread>,
     kinds: Vec<ComponentKind>,
     nominal_rates: Vec<f64>,
-    last_work: Vec<f64>,
-    n_domains: usize,
+    /// `(shard, position in shard)` of each domain, in domain order.
+    place: Vec<(usize, usize)>,
     /// Installed only by the sanitizer entry points; `None` in production.
-    permuter: Option<ReplyPermuter>,
-    /// Recycled batch command. After a dispatch the workers drop their
-    /// handles, so by the next `run_batch` this is the only strong
-    /// reference and `Arc::get_mut` lets the command's vectors be refilled
-    /// in place instead of reallocated.
-    cmd_slot: Option<Arc<BatchCmd>>,
-    /// Recycled [`DomainBatch`] shells (power/event buffers), collected
-    /// after each merge and shipped back out with the next batch.
-    spares: Vec<DomainBatch>,
-    /// Domains owned by each worker, in `cmd_txs` order — how many spare
-    /// shells each worker gets per dispatch.
-    part_sizes: Vec<usize>,
-    /// Scatter buffer for merging replies in domain order, reused across
-    /// dispatches (all `None` between them).
-    results: Vec<Option<DomainBatch>>,
-    _marker: std::marker::PhantomData<&'scope ()>,
+    permuter: Option<SchedulePermuter>,
 }
 
 impl PooledExecutor<'_> {
-    /// Receive one reply per worker, handing each per-domain result to
-    /// `sink`. Results are scattered by domain index afterwards, so arrival
-    /// order never matters. Under the sanitizer's [`ReplyPermuter`] the
-    /// batches are additionally buffered and released in an adversarially
-    /// permuted order before sinking.
-    fn collect_replies(&mut self, mut sink: impl FnMut(DomainBatch)) {
-        let mut pending: Vec<DomainBatch> = Vec::new();
-        let mut seen = 0usize;
-        while seen < self.n_domains {
-            let reply = self
-                .reply_rx
-                .recv()
-                .expect("invariant: each worker replies once per dispatch");
-            for dom in reply.domains {
-                seen += 1;
-                if self.permuter.is_some() {
-                    pending.push(dom);
-                } else {
-                    self.last_work[dom.domain_idx] = dom.work_done;
-                    sink(dom);
-                }
+    /// One epoch: write the command with `fill`, release the helpers,
+    /// serve shard 0 here, and wait until every live helper has arrived.
+    fn run_epoch(&mut self, fill: impl FnOnce(&mut Command)) {
+        let shared = self.shared;
+        {
+            let mut cmd = shared.cmd.write().unwrap_or_else(PoisonError::into_inner);
+            fill(&mut cmd);
+            cmd.turns.clear();
+            if let Some(p) = self.permuter.as_mut() {
+                p.next_turns(&mut cmd.turns, shared.shards.len());
             }
         }
-        if let Some(p) = self.permuter.as_mut() {
-            for dom in p.shuffle(pending) {
-                // simlint: allow(L6): domain_idx < n_domains is the worker
-                // protocol invariant; the streaming arm above is the same
-                // (baselined) access
-                self.last_work[dom.domain_idx] = dom.work_done;
-                sink(dom);
+        shared
+            .pending
+            .store(shared.live.load(Ordering::Acquire), Ordering::Relaxed);
+        shared.epoch.fetch_add(1, Ordering::Release);
+        for h in &self.helpers {
+            h.unpark();
+        }
+        serve_shard(shared, 0);
+        wait_until(|| shared.pending.load(Ordering::Acquire) == 0);
+    }
+
+    /// Visit every member in domain order, holding one shard lock at a
+    /// time (one lock per shard when shards are contiguous).
+    fn visit_members(&self, mut visit: impl FnMut(usize, &mut Member)) {
+        let mut held: Option<(usize, MutexGuard<'_, Shard>)> = None;
+        for (i, &(k, pos)) in self.place.iter().enumerate() {
+            if held.as_ref().map(|(h, _)| *h) != Some(k) {
+                // Release the current shard before locking the next.
+                let _ = held.take();
+                held = self
+                    .shared
+                    .shards
+                    .get(k)
+                    .map(|s| (k, s.lock().unwrap_or_else(PoisonError::into_inner)));
             }
+            if let Some(m) = held.as_mut().and_then(|(_, g)| g.members.get_mut(pos)) {
+                visit(i, m);
+            }
+        }
+    }
+}
+
+impl Drop for PooledExecutor<'_> {
+    /// Publish [`EXIT`], so every helper returns and the scope can join it.
+    fn drop(&mut self) {
+        self.shared.epoch.store(EXIT, Ordering::Release);
+        for h in &self.helpers {
+            h.unpark();
         }
     }
 }
@@ -369,12 +600,10 @@ impl DomainExecutor for PooledExecutor<'_> {
     }
 
     fn work_done(&mut self) -> Vec<f64> {
-        for tx in &self.cmd_txs {
-            tx.send(WorkerMsg::ReportWork)
-                .expect("invariant: workers outlive the executor inside the thread scope");
-        }
-        self.collect_replies(|_| {});
-        self.last_work.clone()
+        self.run_epoch(|cmd| cmd.op = Op::ReportWork);
+        let mut work = Vec::with_capacity(self.place.len());
+        self.visit_members(|_, m| work.push(m.work_done));
+        work
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -386,126 +615,85 @@ impl DomainExecutor for PooledExecutor<'_> {
         tick: SimDuration,
         power_acc: &mut [f64],
         heartbeats: &mut [bool],
-        events: Option<&mut Vec<TraceEvent>>,
+        mut events: Option<&mut Vec<TraceEvent>>,
     ) {
         debug_assert!(
             events.is_none() || quanta.len() == 1,
             "traced runs dispatch single-quantum batches"
         );
-        // Refill the previous dispatch's command in place when the workers
-        // have all dropped their handles (the steady state); fall back to a
-        // fresh allocation on the first dispatch or when a permuter has
-        // delayed a drop.
-        let cmd = match self.cmd_slot.take().map(|mut arc| {
-            match Arc::get_mut(&mut arc) {
-                Some(slot) => {
-                    slot.quanta.clear();
-                    slot.quanta.extend_from_slice(quanta);
-                    slot.v_sched.clear();
-                    slot.v_sched.extend_from_slice(v_sched);
-                    slot.ctls.clear();
-                    slot.ctls.extend_from_slice(ctls);
-                    slot.tick = tick;
-                    slot.collect_events = events.is_some();
-                    Ok(arc)
-                }
-                None => Err(()),
-            }
-        }) {
-            Some(Ok(arc)) => arc,
-            _ => Arc::new(BatchCmd {
-                quanta: quanta.to_vec(),
-                v_sched: v_sched.to_vec(),
-                ctls: ctls.to_vec(),
-                tick,
-                collect_events: events.is_some(),
-            }),
-        };
-        // Ship each worker its share of recycled result shells along with
-        // the command (none on the first dispatch — workers then allocate).
-        for (w, tx) in self.cmd_txs.iter().enumerate() {
-            // simlint: allow(L6): part_sizes is built with one entry per
-            // worker channel, so w < part_sizes.len() by construction
-            let take = self.part_sizes[w].min(self.spares.len());
-            let shells = self.spares.split_off(self.spares.len() - take);
-            tx.send(WorkerMsg::Batch(Arc::clone(&cmd), shells))
-                .expect("invariant: workers outlive the executor inside the thread scope");
-        }
-        self.cmd_slot = Some(cmd);
-        // Collect one reply per worker, then merge in domain order so the
-        // floating-point sums — and the event stream — match the serial
-        // executor exactly, whatever order the workers finished in.
-        let mut results = std::mem::take(&mut self.results);
-        self.collect_replies(|dom| {
-            heartbeats[dom.domain_idx] = dom.responded;
-            let idx = dom.domain_idx;
-            results[idx] = Some(dom);
+        self.run_epoch(|cmd| {
+            cmd.op = Op::Batch;
+            cmd.quanta.clear();
+            cmd.quanta.extend_from_slice(quanta);
+            cmd.v_sched.clear();
+            cmd.v_sched.extend_from_slice(v_sched);
+            cmd.ctls.clear();
+            cmd.ctls.extend_from_slice(ctls);
+            cmd.tick = tick;
+            cmd.collect_events = events.is_some();
         });
-        let mut events = events;
-        for slot in results.iter_mut() {
-            if let Some(mut dom) = slot.take() {
-                for (acc, p) in power_acc.iter_mut().zip(&dom.powers) {
-                    *acc += p;
-                }
-                if let Some(buf) = events.as_deref_mut() {
-                    buf.append(&mut dom.events);
-                }
-                self.spares.push(dom);
+        // Merge in domain order, so the floating-point sums and the event
+        // stream match the serial executor exactly, whatever the shards.
+        self.visit_members(|i, m| {
+            for (acc, p) in power_acc.iter_mut().zip(&m.powers) {
+                *acc += p;
             }
-        }
-        self.results = results;
+            if let Some(h) = heartbeats.get_mut(i) {
+                *h = m.responded;
+            }
+            if let Some(buf) = events.as_deref_mut().filter(|_| !m.events.is_empty()) {
+                buf.append(&mut m.events);
+            }
+        });
     }
 
     fn domain_states(&mut self) -> Vec<String> {
-        for tx in &self.cmd_txs {
-            tx.send(WorkerMsg::SaveState)
-                // simlint: allow(L6): checkpoint boundary, not per-tick; worker channels live for the executor scope
-                .expect("invariant: workers outlive the executor inside the thread scope");
-        }
-        let mut states = vec![String::new(); self.n_domains];
-        self.collect_replies(|dom| {
-            // simlint: allow(L6): checkpoint boundary; domain_idx < n_domains by construction
-            states[dom.domain_idx] = dom.state;
-        });
+        self.run_epoch(|cmd| cmd.op = Op::SaveState);
+        let mut states = Vec::with_capacity(self.place.len());
+        self.visit_members(|_, m| states.push(std::mem::take(&mut m.state)));
         states
     }
 
     fn restore_domain_states(&mut self, states: &[&str]) -> Option<()> {
-        if states.len() != self.n_domains {
+        if states.len() != self.place.len() {
             return None;
         }
-        // Workers outlive this borrow, so they get owned copies.
-        let payload: Arc<Vec<String>> = Arc::new(states.iter().map(|s| s.to_string()).collect());
-        for tx in &self.cmd_txs {
-            tx.send(WorkerMsg::LoadState(Arc::clone(&payload)))
-                // simlint: allow(L6): checkpoint boundary, not per-tick; worker channels live for the executor scope
-                .expect("invariant: workers outlive the executor inside the thread scope");
-        }
-        let mut ok = true;
-        self.collect_replies(|dom| {
-            ok &= dom.responded;
+        self.run_epoch(|cmd| {
+            cmd.op = Op::LoadState;
+            cmd.states.clear();
+            cmd.states.extend(states.iter().map(|s| s.to_string()));
         });
+        self.shared
+            .cmd
+            .write()
+            .unwrap_or_else(PoisonError::into_inner)
+            .states
+            .clear();
+        let mut ok = true;
+        self.visit_members(|_, m| ok &= m.responded);
         ok.then_some(())
     }
 }
 
 impl Simulation {
     /// Run to completion with the chiplet-parallel executor on `workers`
-    /// threads. Produces results bit-identical to [`Simulation::run`].
+    /// threads, the calling thread included: `workers = 1` steps every
+    /// domain inline and spawns nothing. Produces results bit-identical to
+    /// [`Simulation::run`].
     pub fn run_parallel(self, workers: usize) -> RunOutcome {
         self.run_parallel_inner(workers, None)
     }
 
-    /// Sanitizer entry point: like [`Simulation::run_parallel`], but worker
-    /// replies are buffered per dispatch and merged in the adversarial
-    /// order derived from `permute_seed`. A correct executor produces
-    /// byte-identical outcomes for every seed; [`crate::simsan`] asserts
-    /// exactly that against the serial run.
+    /// Sanitizer entry point: like [`Simulation::run_parallel`], but the
+    /// domain→shard assignment and every dispatch's shard start delays and
+    /// member order are derived from `permute_seed`. A correct executor
+    /// produces byte-identical outcomes for every seed; [`crate::simsan`]
+    /// asserts exactly that against the serial run.
     pub fn run_parallel_permuted(self, workers: usize, permute_seed: u64) -> RunOutcome {
-        self.run_parallel_inner(workers, Some(ReplyPermuter::new(permute_seed)))
+        self.run_parallel_inner(workers, Some(SchedulePermuter::new(permute_seed)))
     }
 
-    fn run_parallel_inner(self, workers: usize, permuter: Option<ReplyPermuter>) -> RunOutcome {
+    fn run_parallel_inner(self, workers: usize, permuter: Option<SchedulePermuter>) -> RunOutcome {
         let Simulation {
             sys,
             run,
@@ -521,155 +709,135 @@ impl Simulation {
     }
 }
 
-/// Spawn the chiplet-parallel worker threads for `domains`, build the
-/// [`PooledExecutor`] over them, and hand it to `f`. Workers exit when the
-/// executor's command channels drop at the end of `f`. Shared by
-/// [`Simulation::run_parallel`] and the resume driver
-/// ([`crate::resume::run_resumable`]), which needs the same executor under
-/// a stepwise loop instead of `run_loop`.
+/// Host cost of stepping one domain, in units of one unit-tick: its unit
+/// count plus one. A CPU core, GPU SM and SHA engine each cost about
+/// 18–19 ns per tick on the reference host, and a domain's supply delivery
+/// and local update about 36 ns more, close to one further unit.
+fn shard_weight(d: &Domain) -> u64 {
+    d.sim.units() as u64 + 1
+}
+
+/// Cut `weights` in index order into `min(shards, n)` non-empty contiguous
+/// ranges (one empty range when `n = 0`) whose heaviest total weight is as
+/// small as possible.
+pub(crate) fn partition(weights: &[u64], shards: usize) -> Vec<Range<usize>> {
+    let k = shards.max(1).min(weights.len().max(1));
+    let mut lo = weights.iter().copied().max().unwrap_or(0);
+    let mut hi: u64 = weights.iter().sum();
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if fill_back(weights, k, mid).is_some() {
+            hi = mid;
+        } else {
+            lo = mid + 1;
+        }
+    }
+    fill_back(weights, k, lo).unwrap_or_else(|| vec![0..weights.len()])
+}
+
+/// Fill `k` ranges back to front, each as heavy as `bound` allows while
+/// leaving at least one domain for every range still to fill; `None` if
+/// the domains do not fit.
+fn fill_back(weights: &[u64], k: usize, bound: u64) -> Option<Vec<Range<usize>>> {
+    let mut ranges = Vec::with_capacity(k);
+    let mut end = weights.len();
+    for before in (0..k).rev() {
+        let mut start = end;
+        let mut load = 0;
+        for &w in weights.get(before..end).unwrap_or(&[]).iter().rev() {
+            if load + w > bound {
+                break;
+            }
+            load += w;
+            start -= 1;
+        }
+        if start == end && end > 0 {
+            return None;
+        }
+        ranges.push(start..end);
+        end = start;
+    }
+    ranges.reverse();
+    (end == 0).then_some(ranges)
+}
+
+/// Split `domains` into shards, start the helper threads, build the
+/// [`PooledExecutor`] over them, and hand it to `f`. Helpers return when
+/// the executor drops at the end of `f`, and the thread scope joins them
+/// before this returns. Shared by [`Simulation::run_parallel`] and the
+/// resume driver ([`crate::resume::run_resumable`]), which needs the same
+/// executor under a stepwise loop instead of `run_loop`.
 pub(crate) fn with_pooled_executor<R>(
     domains: Vec<Domain>,
     workers: usize,
-    permuter: Option<ReplyPermuter>,
+    permuter: Option<SchedulePermuter>,
     f: impl FnOnce(PooledExecutor<'_>) -> R,
 ) -> R {
-    {
-        let n_domains = domains.len();
-        let workers = workers.max(1).min(n_domains);
-        let kinds: Vec<ComponentKind> = domains.iter().map(|d| d.kind).collect();
-        let nominal_rates: Vec<f64> = domains.iter().map(|d| d.nominal_rate).collect();
-        let initial_work: Vec<f64> = domains.iter().map(|d| d.sim.work_done()).collect();
-
-        // Partition domains round-robin so heterogeneous chiplets spread
-        // across workers.
-        let mut partitions: Vec<Vec<(usize, Domain)>> = (0..workers).map(|_| Vec::new()).collect();
-        for (i, d) in domains.into_iter().enumerate() {
-            partitions[i % workers].push((i, d));
+    let n = domains.len();
+    let shards = workers.max(1).min(n.max(1));
+    let kinds: Vec<ComponentKind> = domains.iter().map(|d| d.kind).collect();
+    let nominal_rates: Vec<f64> = domains.iter().map(|d| d.nominal_rate).collect();
+    let owner: Vec<usize> = match &permuter {
+        Some(p) => p.owners(n, shards),
+        None => {
+            let weights: Vec<u64> = domains.iter().map(shard_weight).collect();
+            let ranges = partition(&weights, shards);
+            // The calling thread serves the heaviest range as shard 0: it
+            // starts at once, with the command in its own cache, while a
+            // helper first has to see the epoch and fetch the command.
+            let load = |r: &Range<usize>| weights.get(r.clone()).map_or(0, |w| w.iter().sum());
+            let caller = ranges
+                .iter()
+                .enumerate()
+                .max_by_key(|(k, r)| (load(r), std::cmp::Reverse(*k)))
+                .map_or(0, |(k, _)| k);
+            ranges
+                .into_iter()
+                .enumerate()
+                .flat_map(|(k, r)| {
+                    let shard = if k == caller {
+                        0
+                    } else if k == 0 {
+                        caller
+                    } else {
+                        k
+                    };
+                    r.map(move |_| shard)
+                })
+                .collect()
         }
-        let part_sizes: Vec<usize> = partitions.iter().map(Vec::len).collect();
-
-        thread::scope(|scope| {
-            let (reply_tx, reply_rx) = channel::<WorkerReply>();
-            let mut cmd_txs = Vec::with_capacity(workers);
-            for part in partitions {
-                let (cmd_tx, cmd_rx) = channel::<WorkerMsg>();
-                cmd_txs.push(cmd_tx);
-                let reply_tx = reply_tx.clone();
-                scope.spawn(move || {
-                    let mut part = part;
-                    while let Ok(msg) = cmd_rx.recv() {
-                        let reply = match msg {
-                            WorkerMsg::Batch(cmd, mut shells) => {
-                                let n_ticks = cmd.v_sched.len();
-                                let mut domains = Vec::with_capacity(part.len());
-                                for (idx, d) in part.iter_mut() {
-                                    // Drain a recycled shell's buffers when
-                                    // one was shipped with the command; the
-                                    // cleared-and-rezeroed buffers hold the
-                                    // same values a fresh allocation would.
-                                    let (mut powers, mut events) = match shells.pop() {
-                                        Some(shell) => (shell.powers, shell.events),
-                                        None => (Vec::new(), Vec::new()),
-                                    };
-                                    powers.clear();
-                                    powers.resize(n_ticks, 0.0);
-                                    events.clear();
-                                    let mut responded = true;
-                                    for q in &cmd.quanta {
-                                        responded = d.run_quantum(
-                                            q.t0,
-                                            &cmd.v_sched[q.offset..q.offset + q.n],
-                                            q.update_local,
-                                            &cmd.ctls[*idx],
-                                            cmd.tick,
-                                            &mut powers[q.offset..q.offset + q.n],
-                                            cmd.collect_events.then_some(&mut events),
-                                        );
-                                    }
-                                    domains.push(DomainBatch {
-                                        domain_idx: *idx,
-                                        powers,
-                                        work_done: d.sim.work_done(),
-                                        responded,
-                                        events,
-                                        state: String::new(),
-                                    });
-                                }
-                                WorkerReply { domains }
-                            }
-                            WorkerMsg::ReportWork => WorkerReply {
-                                domains: part
-                                    .iter()
-                                    .map(|(idx, d)| DomainBatch {
-                                        domain_idx: *idx,
-                                        powers: Vec::new(),
-                                        work_done: d.sim.work_done(),
-                                        responded: true,
-                                        events: Vec::new(),
-                                        state: String::new(),
-                                    })
-                                    .collect(),
-                            },
-                            WorkerMsg::SaveState => WorkerReply {
-                                domains: part
-                                    .iter()
-                                    .map(|(idx, d)| DomainBatch {
-                                        domain_idx: *idx,
-                                        powers: Vec::new(),
-                                        work_done: d.sim.work_done(),
-                                        responded: true,
-                                        events: Vec::new(),
-                                        state: encode_domain_state(d),
-                                    })
-                                    .collect(),
-                            },
-                            WorkerMsg::LoadState(states) => WorkerReply {
-                                domains: part
-                                    .iter_mut()
-                                    .map(|(idx, d)| {
-                                        let ok = states
-                                            .get(*idx)
-                                            .and_then(|s| decode_domain_state(d, s))
-                                            .is_some();
-                                        DomainBatch {
-                                            domain_idx: *idx,
-                                            powers: Vec::new(),
-                                            work_done: d.sim.work_done(),
-                                            responded: ok,
-                                            events: Vec::new(),
-                                            state: String::new(),
-                                        }
-                                    })
-                                    .collect(),
-                            },
-                        };
-                        if reply_tx.send(reply).is_err() {
-                            return;
-                        }
-                    }
-                });
-            }
-            drop(reply_tx);
-
-            let executor = PooledExecutor {
-                cmd_txs,
-                reply_rx,
-                kinds,
-                nominal_rates,
-                last_work: initial_work,
-                n_domains,
-                permuter,
-                cmd_slot: None,
-                spares: Vec::with_capacity(n_domains),
-                part_sizes,
-                results: (0..n_domains).map(|_| None).collect(),
-                _marker: std::marker::PhantomData,
-            };
-            // Workers exit when their command channels drop with the
-            // executor at the end of `f`.
-            f(executor)
-        })
+    };
+    let mut members: Vec<Vec<Member>> = (0..shards).map(|_| Vec::new()).collect();
+    let mut place = Vec::with_capacity(n);
+    for ((i, d), k) in domains.into_iter().enumerate().zip(owner) {
+        place.push((k, members[k].len()));
+        members[k].push(Member::new(i, d));
     }
+    let shared = Shared {
+        cmd: CacheAligned(RwLock::new(Command::default())),
+        shards: members
+            .into_iter()
+            .map(|members| CacheAligned(Mutex::new(Shard { members })))
+            .collect(),
+        epoch: CacheAligned(AtomicU64::new(0)),
+        pending: CacheAligned(AtomicUsize::new(0)),
+        live: AtomicUsize::new(shards - 1),
+        coordinator: thread::current(),
+    };
+    thread::scope(|scope| {
+        let shared = &shared;
+        let helpers = (1..shards)
+            .map(|k| scope.spawn(move || helper(shared, k)).thread().clone())
+            .collect();
+        f(PooledExecutor {
+            shared,
+            helpers,
+            kinds,
+            nominal_rates,
+            place,
+            permuter,
+        })
+    })
 }
 
 #[cfg(test)]
@@ -776,6 +944,127 @@ mod tests {
         let ser = Simulation::new(sys.clone(), run.clone()).run();
         let par = Simulation::new(sys, run).run_parallel(2);
         assert_eq!(ser.work, par.work);
+    }
+
+    /// Shard weights of a real package, in domain order.
+    fn weights_of(sys: SystemConfig) -> Vec<u64> {
+        let (_, run) = job(0);
+        Simulation::new(sys, run)
+            .domains
+            .iter()
+            .map(shard_weight)
+            .collect()
+    }
+
+    /// The 256-domain package of the scaling study: 86 CPU, 85 GPU and
+    /// 85 SHA chiplets.
+    fn scaled_256() -> Vec<u64> {
+        let sys = SystemConfig::scaled_system(combo_suite()[3], 86, 85, 85, 1)
+            .expect("non-empty package");
+        weights_of(sys)
+    }
+
+    /// Exhaustive optimum: the smallest heaviest-range weight over every
+    /// cut of `weights` into `k` non-empty contiguous ranges.
+    fn optimal_heaviest(weights: &[u64], k: usize) -> u64 {
+        let n = weights.len();
+        let mut prefix = vec![0u64; n + 1];
+        for (i, w) in weights.iter().enumerate() {
+            prefix[i + 1] = prefix[i] + w;
+        }
+        let mut best = vec![vec![u64::MAX; n + 1]; k + 1];
+        best[0][0] = 0;
+        for j in 1..=k {
+            for i in j..=n {
+                for m in j - 1..i {
+                    if best[j - 1][m] != u64::MAX {
+                        let heaviest = best[j - 1][m].max(prefix[i] - prefix[m]);
+                        best[j][i] = best[j][i].min(heaviest);
+                    }
+                }
+            }
+        }
+        best[k][n]
+    }
+
+    fn heaviest(weights: &[u64], ranges: &[Range<usize>]) -> u64 {
+        ranges
+            .iter()
+            .map(|r| weights[r.clone()].iter().sum::<u64>())
+            .max()
+            .unwrap_or(0)
+    }
+
+    /// Every domain lands in exactly one shard; the shards are contiguous,
+    /// in index order and non-empty.
+    fn assert_tiles(ranges: &[Range<usize>], n: usize, k: usize) {
+        assert_eq!(ranges.len(), k, "{ranges:?}");
+        let mut next = 0;
+        for r in ranges {
+            assert_eq!(r.start, next, "contiguous: {ranges:?}");
+            assert!(r.end > r.start, "non-empty: {ranges:?}");
+            next = r.end;
+        }
+        assert_eq!(next, n, "covers every domain: {ranges:?}");
+    }
+
+    #[test]
+    fn partition_tiles_domains_into_contiguous_non_empty_shards() {
+        let cases: Vec<Vec<u64>> = vec![
+            vec![9, 16, 2],
+            vec![1; 7],
+            vec![50, 1, 1, 1, 1, 1, 50],
+            vec![3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5],
+            scaled_256(),
+        ];
+        for weights in &cases {
+            let n = weights.len();
+            for w in 1..=n.min(9) {
+                assert_tiles(&partition(weights, w), n, w);
+            }
+        }
+    }
+
+    #[test]
+    fn partition_clamps_shards_to_domains() {
+        let weights = [9, 16, 2];
+        for w in [3, 4, 5, 16] {
+            assert_tiles(&partition(&weights, w), 3, 3);
+        }
+        assert_tiles(&partition(&weights, 0), 3, 1);
+        assert_eq!(partition(&[], 4), vec![0..0]);
+    }
+
+    #[test]
+    fn partition_minimizes_the_heaviest_shard() {
+        let paper = weights_of(SystemConfig::paper_system(combo_suite()[3], 1));
+        assert_eq!(paper, vec![9, 16, 2], "CPU, GPU and SHA: units + 1");
+        // {CPU} | {GPU, SHA} is the only two-way cut with the optimum.
+        assert_eq!(partition(&paper, 2), vec![0..1, 1..3]);
+        let scaled = scaled_256();
+        let irregular = [3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5];
+        for weights in [&paper[..], &scaled[..], &irregular[..]] {
+            for w in 1..=weights.len().min(4) {
+                assert_eq!(
+                    heaviest(weights, &partition(weights, w)),
+                    optimal_heaviest(weights, w),
+                    "{w} shards over {} domains",
+                    weights.len()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn sanitizer_assignment_is_seeded_balanced_and_non_contiguous() {
+        let (n, k) = (12, 3);
+        let owners = SchedulePermuter::new(5).owners(n, k);
+        assert_eq!(owners, SchedulePermuter::new(5).owners(n, k), "seeded");
+        for shard in 0..k {
+            assert_eq!(owners.iter().filter(|&&o| o == shard).count(), n / k);
+        }
+        let contiguous = owners.windows(2).all(|p| p[0] <= p[1]);
+        assert!(!contiguous, "a shuffled assignment: {owners:?}");
     }
 
     #[test]

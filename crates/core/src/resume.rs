@@ -19,7 +19,7 @@
 //! * Checkpoints are only taken at batch boundaries, where the per-quantum
 //!   event buffer is empty (asserted) and no scratch state is live.
 //! * Stateless collaborators (the fault injector, software policies, the
-//!   reply permuter's per-dispatch derivation) are pure functions of
+//!   schedule permuter's per-dispatch derivation) are pure functions of
 //!   configuration and simulated time, which the checkpoint pins via its
 //!   config fingerprint instead of serializing them.
 //!
@@ -43,7 +43,7 @@ use hcapp_telemetry::tracer::{RingTracer, SharedTracer};
 
 use crate::coordinator::{run_loop, DomainExecutor, LoopDriver, RunConfig, Simulation};
 use crate::outcome::RunOutcome;
-use crate::parallel::{with_pooled_executor, ReplyPermuter};
+use crate::parallel::{with_pooled_executor, SchedulePermuter};
 use crate::coordinator::SerialExecutor;
 use crate::system::SystemConfig;
 
@@ -84,8 +84,8 @@ pub struct ResumeOptions {
     pub checkpoint_every: u64,
     /// Worker threads for the pooled executor; 0 runs serially.
     pub workers: usize,
-    /// Adversarial reply-order seed for the pooled executor (the simsan
-    /// permutation); `None` merges replies in arrival order.
+    /// Adversarial schedule seed for the pooled executor (the simsan
+    /// permutation); `None` uses the contiguous cost-balanced shards.
     pub permute_seed: Option<u64>,
     /// Stop (without flushing) once this many quanta have completed — the
     /// deterministic in-process equivalent of `kill -9`.
@@ -129,7 +129,7 @@ impl ResumeOptions {
         self
     }
 
-    /// Use the pooled executor with adversarially permuted reply order.
+    /// Use the pooled executor under an adversarially permuted schedule.
     pub fn with_permute_seed(mut self, seed: u64) -> Self {
         self.permute_seed = Some(seed);
         self
@@ -157,7 +157,7 @@ impl ResumeOptions {
 /// 32-hex fingerprint of everything that determines a run's results (and
 /// its trace stream). Two invocations with equal fingerprints are the same
 /// physical run, so a checkpoint from one may seed the other. Execution
-/// strategy (`batch_quanta`, worker count, reply permutation) is excluded —
+/// strategy (`batch_quanta`, worker count, schedule permutation) is excluded —
 /// the executors are bit-identical by construction — but whether a trace
 /// sink is attached is included, because tracing changes what must be
 /// stitched on resume.
@@ -267,7 +267,7 @@ fn run_once(
         let driver = LoopDriver::new(sys, run, global_ctl, vr, sensor, policy, executor);
         drive(driver, candidate, &ctx)
     } else {
-        let permuter = opts.permute_seed.map(ReplyPermuter::new);
+        let permuter = opts.permute_seed.map(SchedulePermuter::new);
         with_pooled_executor(domains, opts.workers, permuter, move |executor| {
             let driver = LoopDriver::new(sys, run, global_ctl, vr, sensor, policy, executor);
             drive(driver, candidate, &ctx)

@@ -3,18 +3,21 @@
 //! The static side of the concurrency story is simlint rule L7 (lock
 //! discipline over the worker pool's token stream); this module is the
 //! dynamic counterpart that makes the same model *executable*: the pooled
-//! executor's result must not depend on the order worker replies arrive
-//! or on how long batch merges are delayed. The production code guarantees
-//! this by scattering replies by domain index and merging in domain order
-//! ([`crate::parallel`]); simsan re-runs the executor under adversarially
-//! permuted reply schedules and asserts every outcome is **byte-identical**
-//! to the serial run — compared through [`crate::cache::encode_outcome`],
-//! which spells every f64 as its IEEE-754 bit pattern, so "identical"
-//! means identical bits, not approximately-equal floats.
+//! executor's result must not depend on which thread steps which domain,
+//! in what order, or how late each shard starts. The production code
+//! guarantees this by giving every domain result buffers of its own and
+//! merging them in domain order ([`crate::parallel`]); simsan re-runs the
+//! executor under adversarial schedules — a seeded non-contiguous
+//! domain→shard assignment, and per dispatch a seeded start delay and
+//! member order for every shard — and asserts every outcome is
+//! **byte-identical** to the serial run, compared through
+//! [`crate::cache::encode_outcome`], which spells every f64 as its
+//! IEEE-754 bit pattern, so "identical" means identical bits, not
+//! approximately-equal floats.
 //!
-//! Each ordering is derived from a seed via splitmix64, so a failure
-//! reproduces from `(seed, workers)` alone — the report carries exactly
-//! that.
+//! Each schedule is drawn from `DeterministicRng::derive(seed, dispatch)`,
+//! so a failure reproduces from `(seed, workers)` alone — the report
+//! carries exactly that.
 
 use crate::cache::encode_outcome;
 use crate::coordinator::{RunConfig, Simulation};
@@ -32,7 +35,7 @@ pub struct Mismatch {
 /// Result of a sanitizer sweep.
 #[derive(Debug, Clone)]
 pub struct SanitizerReport {
-    /// Distinct reply orderings exercised.
+    /// Distinct schedules exercised.
     pub orderings: usize,
     /// Worker counts exercised (each seed runs once per count).
     pub worker_counts: Vec<usize>,
@@ -50,8 +53,9 @@ impl SanitizerReport {
     }
 }
 
-/// The default seed set: `0..n`. Seeds only feed splitmix64, so small
-/// consecutive integers still produce unrelated orderings.
+/// The default seed set: `0..n`. Seeds are folded through the RNG's
+/// stream derivation, so small consecutive integers still produce
+/// unrelated schedules.
 pub fn default_seeds(n: usize) -> Vec<u64> {
     (0..n as u64).collect()
 }
@@ -110,7 +114,7 @@ mod tests {
         assert_eq!(report.orderings, 16);
         assert!(
             report.clean(),
-            "permuted reply orders changed the outcome: {:?}",
+            "permuted schedules changed the outcome: {:?}",
             report.mismatches
         );
     }
@@ -125,8 +129,8 @@ mod tests {
 
     #[test]
     fn batched_dispatch_survives_permutation() {
-        // Multi-quantum batching is the path with the most in-flight state
-        // per reply; permuted merges must still be bit-exact.
+        // Multi-quantum batching is the path with the most per-domain
+        // output per dispatch; permuted schedules must still be bit-exact.
         let sys = SystemConfig::paper_system(combo_suite()[1], 37);
         let target = PowerLimit::package_pin().guardbanded_target();
         let run = RunConfig::new(

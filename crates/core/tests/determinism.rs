@@ -8,8 +8,11 @@ use hcapp::coordinator::{RunConfig, Simulation};
 use hcapp::outcome::RunOutcome;
 use hcapp::scheme::ControlScheme;
 use hcapp::system::SystemConfig;
+use hcapp_faults::FaultPlan;
 use hcapp_sim_core::time::SimDuration;
 use hcapp_sim_core::units::Watt;
+use hcapp_telemetry::jsonl;
+use hcapp_telemetry::tracer::{RingTracer, SharedTracer};
 use hcapp_workloads::combos::combo_suite;
 
 fn config(scheme: ControlScheme, batch_quanta: usize) -> (SystemConfig, RunConfig) {
@@ -57,6 +60,53 @@ fn serial_equals_parallel_bitwise() {
         let vs = serial.voltage_trace.as_ref().expect("trace requested");
         let vp = parallel.voltage_trace.as_ref().expect("trace requested");
         assert_eq!(vs.values(), vp.values(), "{workers} workers");
+    }
+}
+
+/// The barrier executor against serial, byte for byte: every pool size
+/// from inline (`1`) through more threads than domains, contiguous shards
+/// and the sanitizer's seeded non-contiguous ones, on the run with the most
+/// per-domain traffic — HCAPP under a `moderate` fault plan (watchdogs,
+/// throttles, heartbeats) with a ring tracer attached, whose event stream
+/// must match too.
+#[test]
+fn pooled_and_permuted_match_serial_bytes_under_faults_and_tracing() {
+    let sys = SystemConfig::paper_system(combo_suite()[3], 7); // Hi-Hi
+    let run = RunConfig::new(
+        SimDuration::from_millis(1),
+        ControlScheme::Hcapp,
+        Watt::new(84.0),
+    )
+    .with_faults(FaultPlan::moderate(7));
+    let traced = |exec: &dyn Fn(Simulation) -> RunOutcome| {
+        let ring = std::sync::Arc::new(std::sync::Mutex::new(RingTracer::new(1 << 20)));
+        let handle: SharedTracer = ring.clone();
+        let out = exec(Simulation::new(
+            sys.clone(),
+            run.clone().with_tracer(handle),
+        ));
+        let mut ring = ring.lock().expect("tracer lock");
+        assert_eq!(ring.dropped(), 0, "ring sized for the whole run");
+        (
+            encode_outcome(&out),
+            jsonl::export(ring.drain().iter(), &[]),
+        )
+    };
+    let (serial, serial_trace) = traced(&|sim| sim.run());
+    assert!(
+        serial_trace.lines().count() > 1,
+        "the traced run emits events"
+    );
+    let n = sys.domains.len();
+    for workers in [1, 2, 3, n + 2] {
+        let (pooled, trace) = traced(&|sim| sim.run_parallel(workers));
+        assert_eq!(serial, pooled, "outcome, {workers} workers");
+        assert_eq!(serial_trace, trace, "trace, {workers} workers");
+        for seed in [0, 1, 2] {
+            let (permuted, trace) = traced(&|sim| sim.run_parallel_permuted(workers, seed));
+            assert_eq!(serial, permuted, "outcome, {workers} workers, seed {seed}");
+            assert_eq!(serial_trace, trace, "trace, {workers} workers, seed {seed}");
+        }
     }
 }
 

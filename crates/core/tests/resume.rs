@@ -16,7 +16,7 @@
 //!
 //! The matrix crosses fault plans (none/light/moderate/severe), kill quanta
 //! (early, mid, seam-adjacent, chained double kills), and executors
-//! (serial, pooled, pooled + adversarial reply permutation, and the
+//! (serial, pooled, pooled + adversarial schedule permutation, and the
 //! batched fixed-voltage path).
 
 use std::fs;

@@ -5,13 +5,12 @@
 //! Three comparisons, matching the PR acceptance criteria:
 //!
 //! 1. **Serial vs pooled at the paper's 1 µs quantum** on a scaled
-//!    package — the pooled executor's per-worker batched replies are what
-//!    make it competitive at this quantum (dynamic schemes re-plan every
-//!    quantum, so multi-quantum batching cannot engage; the win comes from
-//!    collapsing one reply per *domain* into one reply per *worker*).
+//!    package — dynamic schemes re-plan every quantum, so multi-quantum
+//!    batching cannot engage and every quantum pays one epoch barrier of
+//!    the pooled executor.
 //! 2. **Per-quantum vs batched dispatch** on the pooled executor for the
 //!    fixed-voltage baseline (`batch_quanta` 1 vs 32), where whole batches
-//!    of quanta really do ship in one message. Run on a coarse tick that
+//!    of quanta really do share one barrier. Run on a coarse tick that
 //!    reproduces the paper's 1 µs-quantum dispatch-to-compute ratio, the
 //!    regime quantum batching exists for.
 //! 3. **Cold vs warm result cache** over a suite sweep — the warm rerun
@@ -85,8 +84,9 @@ fn main() {
     let ms = env_u64("HCAPP_BENCH_MS", 20).max(1);
     let n_each = env_u64("HCAPP_BENCH_SCALE", 4).max(1) as usize;
     // Default to 4 workers even on small hosts: the interesting cost is the
-    // per-quantum dispatch/park/unpark cycle of a multi-worker pool, which
-    // is exactly what quantum batching amortizes.
+    // per-quantum barrier of a multi-worker pool (with parking once the
+    // pool outnumbers the cores), which is exactly what quantum batching
+    // amortizes.
     let workers = env_u64("HCAPP_BENCH_WORKERS", 4).max(1) as usize;
     let trials = env_u64("HCAPP_BENCH_TRIALS", 3).max(1);
     let domains = n_each * 3;
@@ -95,7 +95,7 @@ fn main() {
         "bench_parallel: {ms} ms runs, {domains} domains, {workers} workers, best of {trials}"
     );
 
-    // 1. HCAPP at 1 µs: serial vs pooled (per-worker batched replies).
+    // 1. HCAPP at 1 µs: serial vs pooled (one barrier per quantum).
     let hcapp_serial_s = secs_min(trials, || {
         scaled(n_each, ms, ControlScheme::Hcapp, 1).run();
     });

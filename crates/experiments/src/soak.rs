@@ -7,8 +7,9 @@
 //! the oracle **bit-exactly** — outcome encoding, JSONL trace stream and
 //! replayed `hcapp.report` — and its over-budget episodes must respect the
 //! same reaction bound the fault campaign enforces. The matrix crosses
-//! fault plans with executors (serial, pooled, pooled + adversarial reply
-//! permutation) so the seams are soaked everywhere determinism is claimed.
+//! fault plans with executors (serial, pooled, pooled + adversarial
+//! schedule permutation) so the seams are soaked everywhere determinism is
+//! claimed.
 
 use std::collections::BTreeSet;
 use std::fs;
@@ -47,7 +48,7 @@ pub enum Executor {
     Serial,
     /// The pooled executor with this many workers.
     Pooled(usize),
-    /// Pooled with adversarially permuted reply order (seeded).
+    /// Pooled under an adversarially permuted schedule (seeded).
     Permuted(usize, u64),
 }
 

@@ -96,7 +96,7 @@ pub struct FuzzCase {
     pub batch: usize,
     /// Worker count for the pooled/permuted legs.
     pub workers: usize,
-    /// Adversarial reply-permutation seed for the permuted leg.
+    /// Adversarial schedule seed for the permuted leg.
     pub permute_seed: u64,
     /// Quantum to kill at in the kill-and-resume leg (clamped to the run's
     /// total; 0 skips the kill and resumes nothing).

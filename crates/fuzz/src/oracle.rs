@@ -9,7 +9,7 @@
 //! 1. **serial** — the traced reference run.
 //! 2. **pooled** — `run_parallel(workers)`.
 //! 3. **permuted** — `run_parallel_permuted(workers, seed)`, the
-//!    adversarial worker-reply ordering.
+//!    adversarial shard assignment and start schedule.
 //! 4. **batched** — untraced serial at `batch_quanta = 1` and at the case's
 //!    batch size.
 //! 5. **resume** — kill at the case's quantum, resume from the checkpoint,

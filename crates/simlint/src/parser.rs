@@ -482,10 +482,15 @@ impl Parser<'_> {
     /// parens, brackets and angle brackets. Multi-char operators that
     /// *contain* angle brackets (`->`, `=>`, `<<`…) are handled by
     /// counting their characters, except the arrows which are ignored.
+    /// Past a top-level `=` (a `const`/`static` initializer or a type
+    /// alias) angle brackets are no longer counted: there `<`, `<<` and
+    /// `<=` are operators, and counting them would swallow every item
+    /// after `const N: u32 = 1 << 8;` into its header.
     fn header_end(&self, kw_idx: usize) -> HeaderEnd {
         let mut paren = 0i64;
         let mut bracket = 0i64;
         let mut angle = 0i64;
+        let mut initializer = false;
         let mut k = kw_idx + 1;
         while let Some(j) = self.file.next_code(k) {
             let t = self.text(j);
@@ -497,7 +502,8 @@ impl Parser<'_> {
                 "->" | "=>" => {}
                 "{" if paren == 0 && bracket == 0 && angle <= 0 => return HeaderEnd::Brace(j),
                 ";" if paren == 0 && bracket == 0 && angle <= 0 => return HeaderEnd::Semi(j),
-                _ if self.toks()[j].kind == TokKind::Punct => {
+                "=" if paren == 0 && bracket == 0 && angle <= 0 => initializer = true,
+                _ if !initializer && self.toks()[j].kind == TokKind::Punct => {
                     angle += t.matches('<').count() as i64;
                     angle -= t.matches('>').count() as i64;
                 }
@@ -681,6 +687,16 @@ fn live2() {}
         let src = "fn nested(v: Vec<Vec<u32>>) -> Vec<Vec<u32>> { v }";
         let (_, items) = parse(src);
         assert!(find(&items, "nested").body.is_some());
+    }
+
+    #[test]
+    fn shift_in_const_initializer_does_not_swallow_later_items() {
+        let src = "const SPINS: u32 = 1 << 8;\nconst MASK: u64 = u64::MAX >> 1;\n\
+                   const SMALL: bool = 1 < 2;\nfn after() { let x = 1; }";
+        let (_, items) = parse(src);
+        assert_eq!(find(&items, "SPINS").kind, ItemKind::Const);
+        assert_eq!(find(&items, "SMALL").kind, ItemKind::Const);
+        assert!(find(&items, "after").body.is_some());
     }
 
     #[test]

@@ -5,8 +5,9 @@
 //! *symbol*, not per line — so test code is excluded structurally (the
 //! parser saw the `#[cfg(test)]`/`#[test]` attributes) and findings carry
 //! the evidence in their `note` (the call chain from the hot loop, the
-//! lock held across a channel op). L9 audits the suppression mechanism
-//! itself: every `simlint: allow(...)` must carry a justification.
+//! lock held across a channel op or a park). L9 audits the suppression
+//! mechanism itself: every `simlint: allow(...)` must carry a
+//! justification.
 
 use std::collections::BTreeMap;
 
@@ -204,10 +205,13 @@ struct OrderEdge {
 /// L7 — lock discipline.
 ///
 /// Two checks over the worker-pool concurrency surface: (a) no channel
-/// `send`/`recv` while a `Mutex` guard is live — the receiving side may
-/// block on the same lock, and the pinned serial==pooled property only
-/// holds when replies drain independently of the queue lock; (b) every
-/// pair of locks is acquired in one global order.
+/// `send`/`recv` and no thread `park` while a `Mutex` or `RwLock` guard
+/// is live — the thread that would wake the blocked one may need the same
+/// lock first (the pooled executor's barrier parks its threads, so a
+/// shard or command guard held across the park would deadlock it); (b)
+/// every pair of locks is acquired in one global order. A `RwLock` guard
+/// is a no-argument `.read()` / `.write()` call; `io::Read::read` and
+/// friends always take a buffer.
 pub fn l7_lock_discipline(ws: &LoadedWorkspace, findings: &mut Vec<Finding>) {
     let g = &ws.graph;
     let mut edges: Vec<OrderEdge> = Vec::new();
@@ -286,7 +290,17 @@ fn scan_fn_locks(
             _ if tf.toks[j].kind == TokKind::Ident => {
                 let next_is = |s: &str| tf.next_code(j + 1).is_some_and(|n| tf.text(n) == s);
                 let prev_is_dot = tf.prev_code(j).is_some_and(|p| tf.text(p) == ".");
-                if t == "lock" && prev_is_dot && next_is("(") {
+                let no_args = || {
+                    tf.next_code(j + 1)
+                        .and_then(|open| tf.next_code(open + 1))
+                        .is_some_and(|close| tf.text(close) == ")")
+                };
+                let acquires = match t {
+                    "lock" => true,
+                    "read" | "write" => no_args(),
+                    _ => false,
+                };
+                if acquires && prev_is_dot && next_is("(") {
                     let lock_name = receiver_name(pf, j);
                     let (let_bound, binding) = stmt_let_binding(pf, stmt_start, j);
                     for held in &guards {
@@ -312,10 +326,16 @@ fn scan_fn_locks(
                         let name = tf.text(arg).to_string();
                         guards.retain(|gd| gd.binding.as_deref() != Some(name.as_str()));
                     }
-                } else if matches!(t, "send" | "recv" | "recv_timeout" | "try_recv" | "try_send")
-                    && prev_is_dot
-                    && next_is("(")
-                {
+                } else if next_is("(") {
+                    let what = match t {
+                        "send" | "recv" | "recv_timeout" | "try_recv" | "try_send"
+                            if prev_is_dot =>
+                        {
+                            "channel"
+                        }
+                        "park" | "park_timeout" => "thread",
+                        _ => continue,
+                    };
                     if let Some(held) = guards.last() {
                         push_sem(
                             ws,
@@ -324,7 +344,7 @@ fn scan_fn_locks(
                             &pf.rel,
                             tf.toks[j].line,
                             format!(
-                                "channel `{}` while holding lock `{}` in {}",
+                                "{what} `{}` while holding lock `{}` in {}",
                                 t,
                                 held.lock_name,
                                 item.qualified()

@@ -174,6 +174,7 @@ fn l7_fixture_golden_json() {
             r#"{"rule":"L7","name":"lock-discipline","file":"crates/core/src/fx_l7.rs","line":17,"excerpt":"self.tx.send(7);","note":"channel `send` while holding lock `queue` in Pool::send_while_locked"}"#,
             r#"{"rule":"L7","name":"lock-discipline","file":"crates/core/src/fx_l7.rs","line":23,"excerpt":"let b = self.merge.lock();","note":"lock `merge` acquired while holding `queue`, but the reverse order exists at crates/core/src/fx_l7.rs:30"}"#,
             r#"{"rule":"L7","name":"lock-discipline","file":"crates/core/src/fx_l7.rs","line":30,"excerpt":"let a = self.queue.lock();","note":"lock `queue` acquired while holding `merge`, but the reverse order exists at crates/core/src/fx_l7.rs:23"}"#,
+            r#"{"rule":"L7","name":"lock-discipline","file":"crates/core/src/fx_l7.rs","line":57,"excerpt":"std::thread::park();","note":"thread `park` while holding lock `cmd` in Barrier::park_while_reading"}"#,
         ]
     );
 }
@@ -233,7 +234,7 @@ fn changed_file_filter_agrees_with_full_pass() {
     ]);
     let sem = [Rule::PanicReachability, Rule::LockDiscipline, Rule::TimeDomain];
     let full = ws.check(&sem);
-    assert_eq!(full.len(), 7, "{full:#?}");
+    assert_eq!(full.len(), 8, "{full:#?}");
     for (fixture, rel) in [
         ("l6_reach.rs", "crates/core/src/fx_l6.rs"),
         ("l7_lock.rs", "crates/core/src/fx_l7.rs"),

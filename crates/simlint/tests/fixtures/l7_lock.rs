@@ -1,9 +1,9 @@
-// Fixture: L7 (lock-discipline). One channel op under a live guard, one
-// inconsistent lock-order pair; the disciplined fns below stay clean.
+// Fixture: L7 (lock-discipline). One channel op and one park under a live
+// guard, one inconsistent lock-order pair; the disciplined fns stay clean.
 // Not compiled — read as text.
 
 use std::sync::mpsc::Sender;
-use std::sync::Mutex;
+use std::sync::{Mutex, RwLock};
 
 pub struct Pool {
     queue: Mutex<Vec<u32>>,
@@ -43,5 +43,29 @@ impl Pool {
     pub fn temporary_released_at_semicolon(&self) {
         self.queue.lock();
         self.tx.send(11);
+    }
+}
+
+pub struct Barrier {
+    cmd: RwLock<u32>,
+    input: std::fs::File,
+}
+
+impl Barrier {
+    pub fn park_while_reading(&self) {
+        let cmd = self.cmd.read();
+        std::thread::park();
+        drop(cmd);
+    }
+
+    pub fn park_after_release(&self) {
+        let cmd = self.cmd.write();
+        drop(cmd);
+        std::thread::park();
+    }
+
+    pub fn io_read_is_not_a_guard(&mut self, buf: &mut [u8]) {
+        self.input.read(buf);
+        std::thread::park();
     }
 }

@@ -13,7 +13,9 @@
 # Knobs (all optional):
 #   HCAPP_BENCH_MS       simulated milliseconds per run   (default 20)
 #   HCAPP_BENCH_SCALE    domains per kind                 (default 4 -> 12)
-#   HCAPP_BENCH_WORKERS  pool size                        (default 4)
+#   HCAPP_BENCH_WORKERS  pool size (default: bench_parallel 4; hcapp bench
+#                        the host's available parallelism, passed as
+#                        --workers only when this is set)
 #   HCAPP_BENCH_TRIALS   best-of-N trials                 (default 3)
 #   HCAPP_BENCH_POINTS   kernel-bench domain counts       (default 3,16,64,256;
 #                        a non-default list writes BENCH_kernel_smoke.json so
@@ -45,7 +47,7 @@ kernel_out=results/BENCH_kernel.json
 cargo run --release -q -p hcapp-cli -- bench \
     --points "$points" \
     --ms "${HCAPP_BENCH_MS:-10}" \
-    --workers "${HCAPP_BENCH_WORKERS:-4}" \
+    ${HCAPP_BENCH_WORKERS:+--workers "$HCAPP_BENCH_WORKERS"} \
     --trials "${HCAPP_BENCH_TRIALS:-3}" \
     --out "$kernel_out"
 
